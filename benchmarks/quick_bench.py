@@ -2,13 +2,12 @@
 """Quick-bench harness for the engine layer (PR regression gate).
 
 Times the inverse-chase and certainty benchmarks on small fixtures in
-three engine modes and writes a JSON report:
+two engine modes and writes a JSON report:
 
-* ``seed``     — every engine optimisation off, serial: the pre-engine
-  code path (eager indexes, no incremental index maintenance, no sort
-  cache, no memoization, no value fast paths, no join kernel);
-* ``serial``   — all optimisations on, serial executor;
-* ``parallel`` — all optimisations on, 4 worker threads.
+* ``seed``   — every engine optimisation off: the pre-engine code path
+  (eager indexes, no incremental index maintenance, no sort cache, no
+  memoization, no value fast paths, no join kernel);
+* ``serial`` — all optimisations on.
 
 A separate ablation isolates the compiled join-plan kernel: the same
 workloads (plus J-validity) run with everything on except the kernel,
@@ -17,11 +16,9 @@ speedup and verifies the result sets are identical.
 
 The report's per-phase timings come from the observability layer's
 span tree (one traced run, see ``measure_traced_phases``) rather than
-ad-hoc stopwatches, and a counter-parity section verifies that a
-thread-parallel run records exactly the same work counters as a
-serial one — any nonzero delta fails the harness.  ``--metrics-json``
-additionally writes the counters + trace as the same JSON document
-the CLI's flag of that name produces, for CI artifact upload.
+ad-hoc stopwatches.  ``--metrics-json`` additionally writes that run's
+counters + trace as the same JSON document the CLI's flag of that
+name produces, for CI artifact upload.
 
 Each measurement rebuilds its fixture *inside* the mode's
 configuration context, so seed-mode timings never benefit from hashes
@@ -79,7 +76,7 @@ from repro.core.inverse_chase import inverse_chase
 from repro.core.validity import is_valid_for_recovery
 from repro.data.atoms import Atom
 from repro.data.terms import Constant
-from repro.engine import CONFIG, COUNTERS, Executor, engine_options
+from repro.engine import CONFIG, COUNTERS, engine_options
 from repro.engine.cache import clear_registered_caches
 from repro.incremental import RecoveryState
 from repro.logic.parser import parse_instance, parse_query, parse_tgds
@@ -87,7 +84,6 @@ from repro.logic.tgds import Mapping
 from repro.observability import (
     METRICS,
     TRACER,
-    parity_diff,
     phase_wall_times,
     write_metrics_json,
 )
@@ -108,7 +104,7 @@ SEED_OPTIONS = dict(
 #: Fixture size: the Lemma-1-remark family, asymmetric (3 S-facts,
 #: 4 T-facts -> |Chase^-1| = 1398).  Big enough that a run takes a
 #: few hundred milliseconds -- timer noise stays well below the gate
-#: margin -- while the full three-mode sweep finishes in about a
+#: margin -- while the full two-mode sweep finishes in under a
 #: minute.
 N_S, N_T = 3, 4
 
@@ -118,7 +114,7 @@ def fixture():
     return lemma1_fixture(N_S, N_T)
 
 
-def bench_inverse_chase(executor):
+def bench_inverse_chase():
     """E6's fixture: the recovery-set blow-up workload."""
     mapping, target = fixture()
     return inverse_chase(
@@ -126,11 +122,10 @@ def bench_inverse_chase(executor):
         target,
         verify_justification=False,
         max_recoveries=100000,
-        executor=executor,
     )
 
 
-def bench_certainty(executor):
+def bench_certainty():
     """E7's fixture: exact certainty through the recovery set."""
     mapping, target = fixture()
     # First components are certain (every recovery covers every S-fact),
@@ -143,7 +138,6 @@ def bench_certainty(executor):
         target,
         max_recoveries=100000,
         verify_justification=False,
-        executor=executor,
     )
 
 
@@ -153,22 +147,21 @@ BENCHMARKS = {
 }
 
 MODES = {
-    "seed": (SEED_OPTIONS, None),
-    "serial": ({}, None),
-    "parallel": ({}, lambda jobs: Executor(jobs=jobs, backend="thread")),
+    "seed": SEED_OPTIONS,
+    "serial": {},
 }
 
 
-def measure(fn, executor, options, repeats):
+def measure(fn, options, repeats):
     """Best-of / mean-of timings, with the fixture built per mode."""
     timings = []
     result = None
     with engine_options(**options) if options else engine_options():
         clear_registered_caches()
-        result = fn(executor)  # warmup + the result to verify
+        result = fn()  # warmup + the result to verify
         for _ in range(repeats):
             start = time.perf_counter()
-            fn(executor)
+            fn()
             timings.append(time.perf_counter() - start)
     return {
         "best_s": min(timings),
@@ -210,7 +203,7 @@ def _random_edges(nodes: int, edges: int, seed: int) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def ablation_inverse_chase(executor):
+def ablation_inverse_chase():
     """Recovery of a shared-existential mapping over midpoint bundles.
 
     The target is ``k`` bundles ``u_i -> mid_ixj -> v_i`` with ``d``
@@ -230,15 +223,10 @@ def ablation_inverse_chase(executor):
         for j in range(6):
             facts += [f"S(u{i}, mid{i}x{j})", f"S(mid{i}x{j}, v{i})"]
     target = parse_instance(", ".join(facts))
-    return inverse_chase(
-        mapping,
-        target,
-        verify_justification=False,
-        executor=executor,
-    )
+    return inverse_chase(mapping, target, verify_justification=False)
 
 
-def ablation_certainty(executor):
+def ablation_certainty():
     """A path join query answered through the certainty pipeline."""
     mapping = Mapping(parse_tgds("R(x, y) -> S(x, y)"))
     target = parse_instance(
@@ -251,11 +239,10 @@ def ablation_certainty(executor):
         target,
         max_recoveries=100000,
         verify_justification=False,
-        executor=executor,
     )
 
 
-def ablation_validity(executor):
+def ablation_validity():
     """Refuting J-validity where the cost is the hom-set join.
 
     The tgd head is a 3-path, so ``HOM(Sigma, J)`` enumerates every
@@ -287,11 +274,11 @@ def measure_ablation(fn, options, repeats):
     timings = []
     with engine_options(**options):
         clear_registered_caches()
-        result = fn(None)  # warmup + the result to verify
+        result = fn()  # warmup + the result to verify
         for _ in range(repeats):
             clear_registered_caches()
             start = time.perf_counter()
-            fn(None)
+            fn()
             timings.append(time.perf_counter() - start)
     return {
         "best_s": min(timings),
@@ -737,38 +724,20 @@ def measure_traced_phases():
 
     Replaces the stopwatch-per-phase approach — the engine's own spans
     are the timing source, so the report's phase breakdown and the
-    CLI's ``--trace`` output can never disagree.
+    CLI's ``--trace`` output can never disagree.  Also returns the
+    run's counters.
     """
     clear_registered_caches()
+    METRICS.reset()
     TRACER.reset()
     TRACER.enable()
     try:
         with TRACER.span("bench.inverse_chase"):
-            bench_inverse_chase(None)
+            bench_inverse_chase()
     finally:
         TRACER.disable()
     trace = TRACER.to_dict()
-    return trace, phase_wall_times(trace)
-
-
-def measure_counter_parity(jobs: int):
-    """Serial vs thread-parallel counter totals on the E6 fixture.
-
-    Counters measure *what was computed*, so (scheduling bookkeeping
-    aside) a parallel run must record exactly the serial totals; any
-    delta means increments were lost or work was duplicated.
-    """
-
-    def counters(executor):
-        clear_registered_caches()
-        METRICS.reset()
-        with engine_options(min_parallel_items=1):
-            bench_inverse_chase(executor)
-        return METRICS.snapshot()
-
-    serial = counters(None)
-    parallel = counters(Executor(jobs=jobs, backend="thread"))
-    return serial, parallel, parity_diff(serial, parallel, backend="thread")
+    return trace, phase_wall_times(trace), METRICS.snapshot()
 
 
 #: Fact count for the service warm-vs-cold fixture: big enough that the
@@ -901,13 +870,12 @@ def main(argv=None) -> int:
         default=None,
         help="also write counters + span trace as a CLI-style metrics document",
     )
-    parser.add_argument("--jobs", type=int, default=4, help="parallel workers")
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats")
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=1.5,
-        help="fail unless parallel beats seed by this factor on every benchmark",
+        help="fail unless serial beats seed by this factor on every benchmark",
     )
     parser.add_argument(
         "--min-kernel-speedup",
@@ -1006,7 +974,6 @@ def main(argv=None) -> int:
             " verify_justification=False"
         ),
         "python": platform.python_version(),
-        "jobs": args.jobs,
         "config": {k: v for k, v in CONFIG.as_dict().items()},
         "benchmarks": {},
     }
@@ -1014,18 +981,16 @@ def main(argv=None) -> int:
     for name, fn in BENCHMARKS.items():
         results = {}
         fingerprints = {}
-        for mode, (options, make_executor) in MODES.items():
-            executor = make_executor(args.jobs) if make_executor else None
-            timing, result = measure(fn, executor, options, args.repeats)
+        for mode, options in MODES.items():
+            timing, result = measure(fn, options, args.repeats)
             results[mode] = timing
             fingerprints[mode] = canonical(result)
-        if not (fingerprints["seed"] == fingerprints["serial"] == fingerprints["parallel"]):
+        if fingerprints["seed"] != fingerprints["serial"]:
             print(f"FAIL {name}: modes disagree on the result set", file=sys.stderr)
             return 1
         seed = results["seed"]["best_s"]
         speedups = {
             "serial_vs_seed": round(seed / results["serial"]["best_s"], 2),
-            "parallel_vs_seed": round(seed / results["parallel"]["best_s"], 2),
         }
         results["speedups"] = speedups
         results["result_size"] = len(fingerprints["seed"])
@@ -1034,11 +999,9 @@ def main(argv=None) -> int:
         line = (
             f"{name}: seed={seed:.3f}s"
             f" serial={results['serial']['best_s']:.3f}s ({speedups['serial_vs_seed']}x)"
-            f" parallel{args.jobs}={results['parallel']['best_s']:.3f}s"
-            f" ({speedups['parallel_vs_seed']}x)"
         )
         print(line)
-        if speedups["parallel_vs_seed"] < args.min_speedup:
+        if speedups["serial_vs_seed"] < args.min_speedup:
             failures.append(name)
 
     ablation, kernel_wins, kernel_identical = run_kernel_ablation(
@@ -1090,29 +1053,12 @@ def main(argv=None) -> int:
     if ckpt["overhead_pct"] > args.max_checkpoint_overhead:
         failures.append("checkpoint_overhead")
 
-    trace, phases = measure_traced_phases()
+    trace, phases, counters = measure_traced_phases()
     report["phases"] = {name: round(ms, 3) for name, ms in sorted(phases.items())}
     print(
         "phases (from spans): "
         + " ".join(f"{name}={ms:.1f}ms" for name, ms in sorted(phases.items()))
     )
-
-    serial_counters, _parallel_counters, parity = measure_counter_parity(args.jobs)
-    report["counter_parity"] = {
-        "identical": not parity,
-        "diffs": {name: list(pair) for name, pair in sorted(parity.items())},
-    }
-    if parity:
-        print(
-            "FAIL counter parity: serial and parallel runs disagree on "
-            + ", ".join(
-                f"{name} ({a} vs {b})" for name, (a, b) in sorted(parity.items())
-            ),
-            file=sys.stderr,
-        )
-        failures.append("counter_parity")
-    else:
-        print("counter parity: serial and parallel totals identical")
 
     if not args.no_service:
         service, service_failures = measure_service_warm_vs_cold(
@@ -1152,10 +1098,9 @@ def main(argv=None) -> int:
     if args.metrics_json:
         write_metrics_json(
             args.metrics_json,
-            counters=serial_counters,
+            counters=counters,
             trace=trace,
             command="quick_bench",
-            counter_parity=report["counter_parity"],
         )
         print(f"wrote {args.metrics_json}")
 

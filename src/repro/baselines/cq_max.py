@@ -30,7 +30,6 @@ from typing import Optional
 from ..data.atoms import Atom
 from ..data.instances import Instance
 from ..data.terms import Constant, NullFactory, Null, Term, Variable
-from ..engine.executor import ExecutorLike, resolve_executor
 from ..logic.tgds import Mapping
 from ..chase.disjunctive import DisjunctiveTGD
 from ..core.glb import glb
@@ -58,30 +57,11 @@ def _producer_canonical_body(
     return Instance(atom.apply(binding) for atom in tgd.body)
 
 
-def _relation_glb(
-    task: tuple[str, tuple[Instance, ...]],
-) -> tuple[str, Instance]:
-    """Worker: fold one target relation's producer bodies into their glb.
-
-    Relations are independent — each glb mints its own pairing nulls
-    (avoiding the producers' domains) and the result is translated to
-    variables per relation — so this is the baselines' parallel unit.
-    """
-    relation, instances = task
-    return relation, glb(list(instances))
-
-
-def derive_cq_max_recovery(
-    mapping: Mapping,
-    *,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-) -> Optional[RecoveryMapping]:
+def derive_cq_max_recovery(mapping: Mapping) -> Optional[RecoveryMapping]:
     """Derive the CQ-maximum recovery mapping of ``Sigma``.
 
     Returns ``None`` when no target relation retains any certain
-    source content (the derived mapping would be empty).  ``executor``
-    / ``jobs`` compute the per-relation glbs in parallel.
+    source content (the derived mapping would be empty).
     """
     producers: dict[str, list[Instance]] = {}
     arities: dict[str, int] = {}
@@ -93,13 +73,9 @@ def derive_cq_max_recovery(
                 _producer_canonical_body(tgd, head_atom, factory)
             )
 
-    runner = resolve_executor(executor, jobs)
-    relation_glbs = runner.map(
-        _relation_glb,
-        ((rel, tuple(producers[rel])) for rel in sorted(producers)),
-    )
     dependencies: list[DisjunctiveTGD] = []
-    for relation, certain in relation_glbs:
+    for relation in sorted(producers):
+        certain = glb(producers[relation])
         if certain.is_empty:
             continue
         body_atom = Atom(
@@ -124,19 +100,13 @@ def derive_cq_max_recovery(
     return RecoveryMapping(dependencies)
 
 
-def cq_max_recovery_chase(
-    mapping: Mapping,
-    target: Instance,
-    *,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-) -> Instance:
+def cq_max_recovery_chase(mapping: Mapping, target: Instance) -> Instance:
     """``Chase(Sigma', J)`` for the derived CQ-maximum recovery ``Sigma'``.
 
     Returns the empty instance when the derived mapping is empty —
     chasing with no dependencies recovers nothing.
     """
-    recovery = derive_cq_max_recovery(mapping, executor=executor, jobs=jobs)
+    recovery = derive_cq_max_recovery(mapping)
     if recovery is None:
         return Instance.empty()
     return recovery.apply_single(target)

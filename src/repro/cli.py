@@ -124,14 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    def parallel(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs",
-            type=_positive_int,
-            default=None,
-            help="worker threads for covering/query evaluation (default serial)",
-        )
-
     def resilience(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--deadline-ms",
@@ -147,13 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "on deadline expiry, degrade to a sound-incomplete answer "
                 "instead of failing (see the resilience ladder)"
             ),
-        )
-        p.add_argument(
-            "--retries",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help="retries per parallel chunk before in-process fallback",
         )
 
     def checkpointing(p: argparse.ArgumentParser) -> None:
@@ -191,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="compute Chase^{-1}(Sigma, J)")
     common(p_recover)
     semantics(p_recover)
-    parallel(p_recover)
     resilience(p_recover)
     checkpointing(p_recover)
     p_recover.add_argument("--target", required=True, help="target instance file")
@@ -212,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certain = sub.add_parser("certain", help="certain answers of a source query")
     common(p_certain)
     semantics(p_certain)
-    parallel(p_certain)
     resilience(p_certain)
     checkpointing(p_certain)
     p_certain.add_argument("--target", required=True)
@@ -356,7 +339,6 @@ def _cmd_recover(args) -> int:
             mapping,
             target,
             max_recoveries=args.max_recoveries,
-            jobs=args.jobs,
             deadline=_deadline_from(args),
             mode=_mode_from(args),
             checkpoint=manager,
@@ -421,7 +403,6 @@ def _cmd_certain(args) -> int:
                 mapping,
                 target,
                 max_recoveries=args.max_recoveries,
-                jobs=args.jobs,
                 deadline=_deadline_from(args),
                 mode=_mode_from(args),
                 checkpoint=manager,
@@ -515,17 +496,14 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
-    Exit codes: 0 success, 1 empty/negative result, 2 library error,
-    3 deadline expired (without ``--degrade``).
+    Exit codes: 0 success, 1 empty/negative result, 2 library error or
+    unreadable input file, 3 deadline expired (without ``--degrade``).
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         parser.error("--resume requires --checkpoint PATH")
     COUNTERS.reset()
-    previous_retries = CONFIG.chunk_retries
-    if getattr(args, "retries", None) is not None:
-        configure(chunk_retries=args.retries)
     previous_kernel = CONFIG.join_kernel
     if getattr(args, "no_join_kernel", False):
         configure(join_kernel=False)
@@ -559,9 +537,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        # A missing or unreadable input file is a usage error, not an
+        # empty result: exit 1 would read as "not recoverable".
+        if error.filename is not None:
+            print(f"error: {error.filename}: {error.strerror}", file=sys.stderr)
+        else:
+            print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         configure(
-            chunk_retries=previous_retries,
             join_kernel=previous_kernel,
             columnar_backend=previous_columnar,
         )

@@ -5,11 +5,6 @@
 ``Chase^{-1}(Sigma, J)`` is a UCQ-universal recovery, so for any UCQ
 the intersection over that set equals the certain answer; this module
 implements exactly that.
-
-Per-recovery UCQ evaluation is independent work, so
-:func:`certain_answers` accepts an :class:`~repro.engine.executor.Executor`
-and fans the evaluations out; the intersection is folded in input
-order with the same early exit on the empty set as the serial loop.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ from typing import Iterable, Optional, Sequence
 
 from ..data.instances import Instance
 from ..data.terms import Term
-from ..engine.executor import Executor, ExecutorLike, resolve_executor
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
 from ..errors import BudgetExceededError, DeadlineExceededError, NotRecoverableError
@@ -30,58 +24,29 @@ from .inverse_chase import BudgetMode, ResilienceMode, inverse_chase
 from .subsumption import SubsumptionConstraint
 
 
-def _evaluate_on(task) -> set[tuple[Term, ...]]:
-    """Worker: one recovery's null-free answer set (picklable unit).
-
-    The task is ``(ucq, instance)`` or ``(ucq, instance, deadline)``;
-    the serial path threads the caller's deadline down into the join
-    kernel so expiry fires inside plan evaluation, while parallel
-    tasks ship without one (deadlines are process-local; the fold in
-    :func:`certain_answers` still checks between instances).
-    """
-    ucq, instance, *rest = task
-    deadline = rest[0] if rest else None
-    return ucq.certain_evaluate(instance, deadline)
-
-
 def certain_answers(
     query: Query,
     instances: Iterable[Instance],
     *,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     deadline: Optional[Deadline] = None,
 ) -> set[tuple[Term, ...]]:
     """The intersection of null-free answers over a set of instances.
 
     Raises :class:`ValueError` on an empty collection: the certain
     answer over no instances is undefined (it would be "everything").
+    The intersection folds results in input order and exits early once
+    it is empty.
 
-    ``executor`` / ``jobs`` evaluate the per-instance answer sets in
-    parallel.  The intersection folds results in input order and still
-    exits early once it is empty — with a parallel executor at most one
-    window of evaluations past the emptying instance is computed.
-
-    ``deadline`` is checked between instances; expiry raises
+    ``deadline`` is checked between instances and threaded down into
+    the join kernel; expiry raises
     :class:`~repro.errors.DeadlineExceededError` with the number of
     instances folded so far in ``progress``.  (A partial intersection
     over-approximates the certain answer, so it is *not* returned.)
     """
     ucq = as_ucq(query)
-    runner = resolve_executor(executor, jobs)
-    if not runner.is_serial and runner.chunk_size is None:
-        # One UCQ evaluation is micro-work; per-item fan-out would cost
-        # more in submissions than it saves, and on recovery sets in the
-        # thousands small chunks thrash the scheduler.  Batch coarsely.
-        runner = Executor(
-            jobs=runner.jobs, backend=runner.backend, chunk_size=256
-        )
     result: Optional[set[tuple[Term, ...]]] = None
     folded = 0
-    inner_deadline = deadline if runner.is_serial else None
-    answer_sets = runner.map(
-        _evaluate_on, ((ucq, inst, inner_deadline) for inst in instances)
-    )
+    answer_sets = (ucq.certain_evaluate(inst, deadline) for inst in instances)
     for answers in TRACER.traced_iter("certain.evaluate", answer_sets):
         if deadline is not None:
             deadline.check("certain answers", {"instances_folded": folded})
@@ -104,8 +69,6 @@ def certain_answer(
     max_covers: Optional[int] = None,
     max_recoveries: Optional[int] = None,
     verify_justification: bool = True,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     deadline: Optional[Deadline] = None,
     mode: ResilienceMode = "raise",
     on_budget: BudgetMode = "raise",
@@ -113,8 +76,6 @@ def certain_answer(
 ):
     """``CERT(Q, Sigma, J)`` computed through the inverse chase.
 
-    ``executor`` / ``jobs`` parallelize both phases: the per-covering
-    inverse-chase pipelines and the per-recovery query evaluations.
     ``verify_justification`` is forwarded to
     :func:`~repro.core.inverse_chase.inverse_chase`; disable it only
     for targets known to be valid for recovery (e.g. honestly exchanged
@@ -143,7 +104,6 @@ def certain_answer(
     """
     if mode not in ("raise", "degrade"):
         raise ValueError(f"unknown resilience mode {mode!r}")
-    runner = resolve_executor(executor, jobs)
 
     def full_pipeline() -> set[tuple[Term, ...]]:
         recoveries = inverse_chase(
@@ -154,7 +114,6 @@ def certain_answer(
             max_covers=max_covers,
             max_recoveries=max_recoveries,
             verify_justification=verify_justification,
-            executor=runner,
             deadline=deadline,
             on_budget=on_budget,
             checkpoint=checkpoint,
@@ -163,9 +122,7 @@ def certain_answer(
             raise NotRecoverableError(
                 "target instance is not valid for recovery under the mapping"
             )
-        return certain_answers(
-            query, recoveries, executor=runner, deadline=deadline
-        )
+        return certain_answers(query, recoveries, deadline=deadline)
 
     if mode == "raise":
         return full_pipeline()

@@ -46,8 +46,6 @@ from typing import Iterator, Literal, Optional, Sequence
 
 from ..data.instances import Instance
 from ..data.terms import NullFactory, Term
-from ..engine.cache import SingleFlightMap
-from ..engine.executor import Executor, ExecutorLike, resolve_executor
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
 from ..errors import BudgetExceededError, DeadlineExceededError, NotRecoverableError
@@ -194,89 +192,6 @@ def _dangling_completions(
             yield spec
 
 
-def _evaluate_covering(
-    task: tuple[
-        Mapping,
-        Instance,
-        set[Term],
-        tuple[TargetHomomorphism, ...],
-        bool,
-        SingleFlightMap,
-        Optional[Deadline],
-    ],
-) -> tuple[list[RecoveryCandidate], dict[Instance, bool]]:
-    """Steps 4-6 of Definition 9 for one covering (the parallel unit).
-
-    A top-level function so the process backend can pickle it.  Each
-    invocation creates its own :class:`NullFactory` seeded exactly like
-    the serial path, so the produced instances are bit-identical to a
-    serial run regardless of evaluation order.
-
-    ``known`` carries already-computed justification verdicts as a
-    :class:`SingleFlightMap`.  Thread workers receive the parent's map
-    itself, so concurrent misses on one candidate are computed exactly
-    once (keeping justification counters identical to a serial run);
-    process workers receive a pickled point-in-time snapshot.  Fresh
-    verdicts are also collected into a plain dict and returned with the
-    candidates so the parent can share them with later coverings even
-    across a process boundary — worker-side counter increments travel
-    separately, in the executor's per-chunk metrics delta.
-
-    ``deadline`` crosses the pickle boundary with its absolute expiry,
-    so workers abandon their covering at the same wall-clock moment
-    the parent would; the resulting :class:`DeadlineExceededError` is
-    an application error and propagates faithfully to the caller.
-    """
-    mapping, target, target_domain, covering, verify, known, deadline = task
-    factory = NullFactory()
-    factory.avoid(target_domain)
-    with TRACER.span("inverse_chase.chase", aggregate=True):
-        backward = chase_restricted(
-            [hom.reverse_trigger for hom in covering], target, factory
-        ).result
-        forward = chase(mapping, backward, factory).result
-    candidates: list[RecoveryCandidate] = []
-    verdicts: dict[Instance, bool] = {}
-
-    def justified(candidate: Instance) -> bool:
-        def compute() -> bool:
-            verdict = is_justified(mapping, candidate, target, deadline=deadline)
-            verdicts[candidate] = verdict
-            return verdict
-
-        with TRACER.span("inverse_chase.justify", aggregate=True):
-            return known.get_or_compute(candidate, compute)
-
-    # Definition 9 applies g to the backward instance, so only g's
-    # behaviour on the backward nulls matters: the images of the fresh
-    # nulls the forward chase introduced are projected away.  Searching
-    # with that projection lets the join kernel dedup per component and
-    # never materialize the collapsed bindings.
-    for g in TRACER.traced_iter(
-        "inverse_chase.finish",
-        instance_homomorphisms(
-            forward,
-            target,
-            identity_on=target_domain,
-            project=backward.nulls(),
-            deadline=deadline,
-        ),
-    ):
-        recovery = backward.apply(g)
-        if verify and not justified(recovery):
-            for spec in _dangling_completions(recovery, target_domain):
-                completed = recovery.apply(spec)
-                if justified(completed):
-                    g, recovery = g.extend(spec), completed
-                    break
-            else:
-                continue
-        candidates.append(
-            RecoveryCandidate(covering, backward, forward, g, recovery)
-        )
-    return candidates, verdicts
-
-
 def inverse_chase_candidates(
     mapping: Mapping,
     target: Instance,
@@ -287,8 +202,6 @@ def inverse_chase_candidates(
     max_covers: Optional[int] = None,
     max_recoveries: Optional[int] = None,
     verify_justification: bool = True,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     deadline: Optional[Deadline] = None,
     on_budget: BudgetMode = "raise",
     checkpoint: Optional[CheckpointManager] = None,
@@ -319,13 +232,6 @@ def inverse_chase_candidates(
         docstring).  Disable only for targets known to be valid for
         recovery — e.g. honestly exchanged benchmark targets — where
         the check is redundant work.
-    :param executor: an :class:`~repro.engine.executor.Executor` (or a
-        worker count) fanning coverings out in parallel.  Each covering
-        is an independent backward-chase → forward-chase → gate
-        pipeline; results keep the serial enumeration order, so
-        parallel and serial runs yield identical sequences.
-    :param jobs: shorthand for ``executor`` when only a worker count is
-        needed; ``None``/``0``/``1`` stay serial (and fully lazy).
     :param deadline: a cooperative :class:`~repro.resilience.Deadline`
         checked inside the covering enumeration, the per-covering
         pipelines and the final homomorphism search.  Expiry raises
@@ -392,15 +298,9 @@ def inverse_chase_candidates(
     conclusion_pool = homs if subsumption_mode == "refute" else None
     # Distinct (covering, g) pairs frequently produce the same recovery
     # (homomorphisms differing only on forward-chase nulls); cache the
-    # justification verdict per recovery instance.  The cache is shared
-    # across parallel workers: threads use the map itself (single-flight,
-    # so concurrent misses compute once and the hit/miss counters match
-    # a serial run), processes get a snapshot per task and ship fresh
-    # verdicts back.
-    justified_cache = SingleFlightMap(
-        hit_metric="justification_hits", miss_metric="justification_misses"
-    )
-    runner = resolve_executor(executor, jobs)
+    # justification verdict per recovery instance.  The memo never
+    # leaves this call, so a plain dict suffices.
+    justified_cache: dict[Instance, bool] = {}
 
     # -- checkpoint/resume state --------------------------------------
     # ``skip_coverings`` surviving coverings were fully processed by a
@@ -522,10 +422,14 @@ def inverse_chase_candidates(
 
     def justified(candidate: Instance) -> bool:
         with TRACER.span("inverse_chase.justify", aggregate=True):
-            return justified_cache.get_or_compute(
-                candidate,
-                lambda: is_justified(mapping, candidate, target, deadline=deadline),
-            )
+            verdict = justified_cache.get(candidate)
+            if verdict is not None:
+                METRICS.inc("justification_hits")
+                return verdict
+            METRICS.inc("justification_misses")
+            verdict = is_justified(mapping, candidate, target, deadline=deadline)
+            justified_cache[candidate] = verdict
+            return verdict
 
     def progress() -> dict:
         return {"covers_seen": covers_seen, "recoveries_emitted": emitted}
@@ -583,88 +487,48 @@ def inverse_chase_candidates(
                 # The snapshot covers the whole enumeration; the file
                 # on disk already says so — nothing left to compute.
                 return
-        if runner.is_serial:
-            # The serial path stays lazy per homomorphism g: callers like
-            # is_valid_for_recovery pull a single candidate and stop.
-            for covering in TRACER.traced_iter(
-                "inverse_chase.covers", surviving_coverings()
-            ):
-                METRICS.inc("coverings_evaluated")
-                if deadline is not None:
-                    deadline.check("inverse chase", progress())
-                factory = NullFactory()
-                factory.avoid(target_domain)
-                with TRACER.span("inverse_chase.chase", aggregate=True):
-                    backward = chase_restricted(
-                        [hom.reverse_trigger for hom in covering], target, factory
-                    ).result
-                    forward = chase(mapping, backward, factory).result
-                for g in TRACER.traced_iter(
-                    "inverse_chase.finish",
-                    instance_homomorphisms(
-                        forward,
-                        target,
-                        identity_on=target_domain,
-                        project=backward.nulls(),
-                        deadline=deadline,
-                    ),
-                ):
-                    recovery = backward.apply(g)
-                    if verify_justification and not justified(recovery):
-                        # A failing candidate may still ground to a genuine
-                        # recovery when its only defect is a dangling
-                        # backward null (see _dangling_completions).
-                        for spec in _dangling_completions(recovery, target_domain):
-                            completed = recovery.apply(spec)
-                            if justified(completed):
-                                g, recovery = g.extend(spec), completed
-                                break
-                        else:
-                            continue
-                    emitted += 1
-                    METRICS.inc("recoveries_emitted")
-                    error = over_budget()
-                    if error is not None:
-                        if on_budget == "truncate":
-                            return
-                        raise error
-                    candidate = RecoveryCandidate(
-                        covering, backward, forward, g, recovery
-                    )
-                    checkpointed.append(candidate)
-                    yield candidate
-                covering_finished()
-            if checkpoint is not None:
-                save_checkpoint(complete=True)
-            return
-
-        if runner.chunk_size is None:
-            # One covering's pipeline usually runs well under a
-            # millisecond, comparable to a single submission's
-            # overhead.  Batch them.
-            runner = Executor(
-                jobs=runner.jobs, backend=runner.backend, chunk_size=8
-            )
-        tasks = (
-            (
-                mapping,
-                target,
-                target_domain,
-                covering,
-                verify_justification,
-                justified_cache,
-                deadline,
-            )
-            for covering in TRACER.traced_iter(
-                "inverse_chase.covers", surviving_coverings()
-            )
-        )
-        for candidates, verdicts in runner.map(_evaluate_covering, tasks):
+        # The enumeration stays lazy per homomorphism g: callers like
+        # is_valid_for_recovery pull a single candidate and stop.
+        for covering in TRACER.traced_iter(
+            "inverse_chase.covers", surviving_coverings()
+        ):
             METRICS.inc("coverings_evaluated")
             if deadline is not None:
                 deadline.check("inverse chase", progress())
-            justified_cache.update(verdicts)
-            for candidate in candidates:
+            factory = NullFactory()
+            factory.avoid(target_domain)
+            with TRACER.span("inverse_chase.chase", aggregate=True):
+                backward = chase_restricted(
+                    [hom.reverse_trigger for hom in covering], target, factory
+                ).result
+                forward = chase(mapping, backward, factory).result
+            # Definition 9 applies g to the backward instance, so only g's
+            # behaviour on the backward nulls matters: the images of the
+            # fresh nulls the forward chase introduced are projected away.
+            # Searching with that projection lets the join kernel dedup per
+            # component and never materialize the collapsed bindings.
+            for g in TRACER.traced_iter(
+                "inverse_chase.finish",
+                instance_homomorphisms(
+                    forward,
+                    target,
+                    identity_on=target_domain,
+                    project=backward.nulls(),
+                    deadline=deadline,
+                ),
+            ):
+                recovery = backward.apply(g)
+                if verify_justification and not justified(recovery):
+                    # A failing candidate may still ground to a genuine
+                    # recovery when its only defect is a dangling
+                    # backward null (see _dangling_completions).
+                    for spec in _dangling_completions(recovery, target_domain):
+                        completed = recovery.apply(spec)
+                        if justified(completed):
+                            g, recovery = g.extend(spec), completed
+                            break
+                    else:
+                        continue
                 emitted += 1
                 METRICS.inc("recoveries_emitted")
                 error = over_budget()
@@ -672,6 +536,9 @@ def inverse_chase_candidates(
                     if on_budget == "truncate":
                         return
                     raise error
+                candidate = RecoveryCandidate(
+                    covering, backward, forward, g, recovery
+                )
                 checkpointed.append(candidate)
                 yield candidate
             covering_finished()
@@ -700,8 +567,6 @@ def inverse_chase(
     max_covers: Optional[int] = None,
     max_recoveries: Optional[int] = None,
     verify_justification: bool = True,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     deadline: Optional[Deadline] = None,
     mode: ResilienceMode = "raise",
     on_budget: BudgetMode = "raise",
@@ -710,8 +575,7 @@ def inverse_chase(
     """``Chase^{-1}(Sigma, J)``: the deduplicated set of recoveries.
 
     Returns the empty list exactly when ``J`` is not valid for recovery
-    under ``Sigma`` (Theorem 3's characterization).  ``executor`` /
-    ``jobs`` parallelize per covering, preserving the serial order.
+    under ``Sigma`` (Theorem 3's characterization).
 
     Resource governance (see :mod:`repro.resilience`):
 
@@ -757,8 +621,6 @@ def inverse_chase(
         max_covers=max_covers,
         max_recoveries=max_recoveries,
         verify_justification=verify_justification,
-        executor=executor,
-        jobs=jobs,
         on_budget=on_budget,
     )
     if mode == "degrade":

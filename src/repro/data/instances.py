@@ -43,9 +43,8 @@ from .terms import Constant, Null, Term, Variable
 
 #: Process-wide epoch source.  Every instance construction draws a
 #: fresh epoch, so ``(anything, epoch)`` cache keys can never alias a
-#: different fact set — including after unpickling in a worker, where
-#: the rebuilt instance gets that process's next epoch (caches are
-#: per-process).  This replaces identity-based (``id()``) invalidation,
+#: different fact set — including after unpickling, where the rebuilt
+#: instance gets that process's next epoch (caches are per-process).  This replaces identity-based (``id()``) invalidation,
 #: which is unsound across object reuse.
 _EPOCHS = count(1)
 
@@ -512,7 +511,7 @@ class Instance:
 
     def __reduce__(self):
         # Indexes are rebuilt lazily on the other side of the pickle
-        # boundary (the process executor ships instances to workers).
+        # boundary (checkpoint snapshots pickle instances).
         return (_restore_instance, (tuple(self._facts),))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

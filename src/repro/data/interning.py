@@ -17,8 +17,8 @@ values and those integers lives here, in a process-global
 
 Ids are process-local: a pickled store ships its terms, never its ids,
 and re-interns on the receiving side (see ``ColumnarStore.__reduce__``),
-so process-pool executors keep working exactly as they do for the
-object backend.  The table only ever grows; :func:`reset_table` swaps
+so a pickled store round-trips into any process exactly as an object
+instance does.  The table only ever grows; :func:`reset_table` swaps
 in a fresh global for tests, while stores built against the old table
 keep their own reference and stay internally consistent.
 """

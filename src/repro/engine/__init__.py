@@ -1,12 +1,8 @@
-"""The performance layer: executors, caches, counters, feature flags.
+"""The performance layer: caches, counters, feature flags.
 
 ``repro.engine`` holds everything that makes the reproduction fast
 without changing *what* is computed:
 
-* :class:`~repro.engine.executor.Executor` — pluggable serial /
-  thread / process fan-out with deterministic result ordering and
-  graceful serial fallback (used by the inverse chase, certain-answer
-  intersection and the baselines);
 * :class:`~repro.engine.cache.LRUCache` — keyed memoization behind
   ``hom_set`` and ``minimal_subsumers``;
 * :data:`~repro.engine.counters.COUNTERS` — lightweight perf counters
@@ -21,7 +17,6 @@ This package deliberately never imports ``repro.data`` / ``repro.core``
 from .cache import (
     LRUCache,
     PartitionedLRUCache,
-    SingleFlightMap,
     cache_partition,
     clear_registered_caches,
     configure_partition,
@@ -33,30 +28,23 @@ from .cache import (
 )
 from .config import CONFIG, EngineConfig, configure, engine_options
 from .counters import COUNTERS, KNOWN_COUNTERS, EngineCounters
-from .executor import SERIAL, Backend, Executor, default_jobs, resolve_executor
 
 __all__ = [
-    "Backend",
     "CONFIG",
     "COUNTERS",
     "EngineConfig",
     "EngineCounters",
-    "Executor",
     "KNOWN_COUNTERS",
     "LRUCache",
     "PartitionedLRUCache",
-    "SERIAL",
-    "SingleFlightMap",
     "cache_partition",
     "clear_registered_caches",
     "configure",
     "configure_partition",
     "current_partition",
-    "default_jobs",
     "drop_cache_partition",
     "engine_options",
     "partition_budget",
     "partitioned_cache_stats",
     "registered_cache_names",
-    "resolve_executor",
 ]

@@ -8,10 +8,9 @@ hashable throughout the library, which is what makes this safe).
 Misses are **single-flight**: when several threads miss the same key
 at once, exactly one computes while the others wait on the in-flight
 entry and then share the result.  Besides avoiding duplicated work,
-this keeps the hit/miss totals *deterministic* — a thread-parallel run
-records the same counts as a serial run (one miss per distinct key,
-hits for everyone else), which the counter-parity guarantees in
-``--stats`` rely on.
+this keeps the hit/miss totals *deterministic* — concurrent service
+request threads record the same counts as one thread doing the same
+work (one miss per distinct key, hits for everyone else).
 
 Statistics feed the unified metrics registry
 (:data:`repro.observability.METRICS`) under ``<name>_cache_hits`` /
@@ -245,130 +244,6 @@ class LRUCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class SingleFlightMap:
-    """A dict-like verdict memo with single-flight computation.
-
-    Used for the justification-verdict cache in the inverse chase: a
-    plain ``dict`` memo lets two threads both miss a key and both pay
-    the (expensive, pure) verification, which also skews the
-    ``justification_hits``/``_misses`` counters away from the serial
-    run.  This map makes concurrent misses single-flight while keeping
-    the mapping surface (``get`` / ``__setitem__`` / ``update`` /
-    ``items``) the existing code uses.
-
-    It pickles as a plain dict snapshot (via ``__reduce__``), so
-    process-pool workers receive a point-in-time copy — the same
-    semantics the old dict had.
-    """
-
-    __slots__ = ("_data", "_lock", "hit_metric", "miss_metric")
-
-    def __init__(
-        self,
-        initial: Optional[dict] = None,
-        hit_metric: Optional[str] = None,
-        miss_metric: Optional[str] = None,
-    ):
-        self._data: dict = dict(initial) if initial else {}
-        self._lock = threading.Lock()
-        self.hit_metric = hit_metric
-        self.miss_metric = miss_metric
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], V]) -> V:
-        ident = threading.get_ident()
-        while True:
-            with self._lock:
-                value = self._data.get(key, _SENTINEL)
-                if isinstance(value, _InFlight):
-                    entry = value
-                    if entry.owner == ident:
-                        if self.miss_metric:
-                            METRICS.inc(self.miss_metric)
-                        entry = None
-                    elif self.hit_metric:
-                        METRICS.inc(self.hit_metric)
-                elif value is not _SENTINEL:
-                    if self.hit_metric:
-                        METRICS.inc(self.hit_metric)
-                    return value  # type: ignore[return-value]
-                else:
-                    entry = _InFlight(ident)
-                    self._data[key] = entry
-                    if self.miss_metric:
-                        METRICS.inc(self.miss_metric)
-                    break
-            if entry is None:
-                return compute()
-            entry.event.wait()
-            if not entry.failed:
-                return entry.value  # type: ignore[return-value]
-
-        try:
-            value = compute()
-        except BaseException:
-            with self._lock:
-                if self._data.get(key) is entry:
-                    del self._data[key]
-            entry.failed = True
-            entry.event.set()
-            raise
-        with self._lock:
-            self._data[key] = value
-        entry.value = value
-        entry.event.set()
-        return value
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        with self._lock:
-            value = self._data.get(key, _SENTINEL)
-        if value is _SENTINEL or isinstance(value, _InFlight):
-            return default
-        return value
-
-    def __setitem__(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            existing = self._data.get(key)
-            if not isinstance(existing, _InFlight):
-                self._data[key] = value
-
-    def update(self, other) -> None:
-        items = other.items() if hasattr(other, "items") else other
-        with self._lock:
-            for key, value in items:
-                if not isinstance(self._data.get(key), _InFlight):
-                    self._data[key] = value
-
-    def items(self) -> Iterator[tuple]:
-        with self._lock:
-            return iter(
-                [
-                    (k, v)
-                    for k, v in self._data.items()
-                    if not isinstance(v, _InFlight)
-                ]
-            )
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            value = self._data.get(key, _SENTINEL)
-        return value is not _SENTINEL and not isinstance(value, _InFlight)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(
-                1 for v in self._data.values() if not isinstance(v, _InFlight)
-            )
-
-    def __reduce__(self):
-        settled = {
-            k: v for k, v in self._data.items() if not isinstance(v, _InFlight)
-        }
-        return (
-            SingleFlightMap,
-            (settled, self.hit_metric, self.miss_metric),
-        )
 
 
 def registered_cache_names() -> list[str]:

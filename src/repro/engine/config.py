@@ -52,18 +52,6 @@ Knobs:
   builds cost more than the per-object overhead they remove, and the
   established micro-benchmarks keep measuring the object path.
 
-Fault-tolerance knobs for the parallel executor:
-
-* ``chunk_timeout_s`` / ``chunk_retries`` / ``retry_backoff_s`` —
-  per-chunk wall-clock timeout with bounded, backed-off retry before
-  the chunk is recomputed in-process.
-* ``worker_heartbeat_s`` — cadence at which the parent polls process
-  workers for liveness while a chunk is pending; a detected death
-  orphans the chunk, which is deterministically reassigned.
-* ``inject_faults`` — a test-only hook run in the worker before each
-  chunk; used by the fault-injection suite to kill workers, delay
-  chunks and poison pickles.
-
 Use :func:`configure` for permanent changes and :func:`engine_options`
 as a context manager for scoped ones (the benchmark harness does the
 latter).  This module must not import the rest of ``repro``.
@@ -93,12 +81,6 @@ class EngineConfig:
         "plan_cache_size",
         "hom_set_cache_size",
         "subsumers_cache_size",
-        "min_parallel_items",
-        "chunk_timeout_s",
-        "chunk_retries",
-        "retry_backoff_s",
-        "worker_heartbeat_s",
-        "inject_faults",
     )
 
     def __init__(self) -> None:
@@ -122,34 +104,6 @@ class EngineConfig:
         self.plan_cache_size = 512
         self.hom_set_cache_size = 256
         self.subsumers_cache_size = 128
-        #: Below this many work items the executor stays serial: the
-        #: fan-out overhead dwarfs the work on tiny instances.
-        self.min_parallel_items = 4
-        #: Per-chunk wall-clock timeout for parallel execution, in
-        #: seconds.  ``None`` (the default) waits indefinitely.  A
-        #: timed-out chunk is retried (below) and finally recomputed
-        #: in-process, so results stay complete either way.
-        self.chunk_timeout_s = None
-        #: How many times a timed-out or infrastructure-failed chunk is
-        #: resubmitted before falling back to in-process evaluation.
-        self.chunk_retries = 2
-        #: Base backoff between chunk retries, in seconds; attempt ``k``
-        #: sleeps ``k * retry_backoff_s``.
-        self.retry_backoff_s = 0.05
-        #: Heartbeat cadence for process workers, in seconds.  While a
-        #: chunk is pending, the parent wakes at this interval and
-        #: checks the pool's worker processes for liveness; a dead
-        #: worker marks the chunk orphaned and it is deterministically
-        #: reassigned (same chunk, same order slot) to a healthy pool.
-        #: ``0`` / ``None`` disables the polling and leaves crash
-        #: detection to the pool's own broken-executor signal.
-        self.worker_heartbeat_s = 0.1
-        #: Fault-injection hook for tests: a picklable callable invoked
-        #: in the worker as ``hook(chunk)`` before the chunk is
-        #: evaluated.  It may sleep (delaying the chunk past a
-        #: timeout), raise, or kill the worker outright; ``None``
-        #: disables injection.
-        self.inject_faults = None
 
     def as_dict(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__}

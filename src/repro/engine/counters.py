@@ -8,14 +8,8 @@
     surface will eventually go away.
 
 Historically this module held a process-global slot object mutated
-with plain ``+=``.  That pattern had two faults the observability
-layer fixes:
-
-* under the **thread** executor, ``+=`` is a read-modify-write and
-  racing workers dropped increments;
-* under the **process** executor, workers mutated their own copy and
-  the parent never saw the increments at all, so ``--stats`` silently
-  undercounted exactly when ``--jobs N`` mattered.
+with plain ``+=``.  That is a read-modify-write, so threads racing on
+it (the service runs requests on threads) dropped increments.
 
 :class:`EngineCounters` is now attribute sugar over
 :data:`repro.observability.METRICS`.  Reads return the merged
@@ -62,11 +56,6 @@ KNOWN_COUNTERS = (
     "instances_shared",
     "justification_hits",
     "justification_misses",
-    "parallel_chunks",
-    "parallel_fallbacks",
-    "chunk_retries",
-    "chunk_timeouts",
-    "pool_restarts",
     "deadline_hits",
     "degradations",
 )

@@ -87,7 +87,7 @@ class BudgetExceededError(ReproError):
         # ``partial``/``progress`` are enriched after construction (the
         # inverse chase stamps running totals onto an escaping error);
         # the default reduction would rebuild from ``args`` — the
-        # formatted message — losing all of it across a process pool.
+        # formatted message — losing all of it across a pickle.
         return (
             _rebuild_budget_error,
             (self.what, self.limit, self.partial, self.progress),

@@ -11,7 +11,6 @@ without cycles.
 from .metrics import (
     METRICS,
     MetricsRegistry,
-    PROCESS_VARIANT_METRICS,
     SCHEDULING_METRICS,
     parity_diff,
     parity_view,
@@ -27,7 +26,6 @@ from .export import (
 __all__ = [
     "METRICS",
     "MetricsRegistry",
-    "PROCESS_VARIANT_METRICS",
     "SCHEDULING_METRICS",
     "parity_diff",
     "parity_view",

@@ -8,14 +8,12 @@ store behind a snapshot / merge / reset API:
 * **increments are thread-safe and cheap** — each thread accumulates
   into its own private cell (a plain dict, no lock on the hot path);
   totals are summed across cells on :meth:`snapshot` / :meth:`get`.
-  The old ``COUNTERS.name += 1`` pattern lost updates under the thread
-  executor because the read-modify-write raced; ``inc`` cannot.
+  The old ``COUNTERS.name += 1`` pattern lost updates when service
+  request threads raced on the read-modify-write; ``inc`` cannot.
 * **deltas are picklable** — :meth:`delta_since` diffs a snapshot into
-  a plain ``{name: int}`` dict that crosses the process-pool pickle
-  boundary, and :meth:`merge` folds such a delta back in.  The
-  executor uses this pair to ship worker-side increments back to the
-  parent at chunk boundaries, so ``--stats`` no longer undercounts
-  under ``--jobs N`` with the process backend.
+  a plain ``{name: int}`` dict, and :meth:`merge` folds such a delta
+  back in.  Checkpoint snapshots carry the run's counter delta so a
+  resumed run reports the same totals as an uninterrupted one.
 
 Counter names are free-form strings; the engine's known names (and the
 registered caches' ``<name>_cache_hits`` / ``_misses``) get zero
@@ -88,12 +86,7 @@ class MetricsRegistry:
         return totals
 
     def delta_since(self, baseline: Mapping[str, int]) -> dict[str, int]:
-        """The picklable nonzero difference ``snapshot() - baseline``.
-
-        Process-pool workers call this at the end of a chunk (with the
-        snapshot taken at the chunk's start) and ship the plain dict
-        back for the parent to :meth:`merge`.
-        """
+        """The picklable nonzero difference ``snapshot() - baseline``."""
         delta: dict[str, int] = {}
         for name, value in self.snapshot().items():
             diff = value - baseline.get(name, 0)
@@ -102,7 +95,7 @@ class MetricsRegistry:
         return delta
 
     def merge(self, delta: Optional[Mapping[str, int]]) -> None:
-        """Fold a delta (e.g. one shipped from a worker process) in."""
+        """Fold a delta (e.g. one restored from a checkpoint) in."""
         if not delta:
             return
         cell = self._cell()
@@ -121,7 +114,7 @@ class MetricsRegistry:
         """Fold cells of finished threads into the retired totals.
 
         Keeps ``_cells`` bounded over a long session of short-lived
-        pools without losing a single worker-side increment.
+        threads without losing a single increment.
         """
         live: list[tuple[weakref.ref, dict[str, int]]] = []
         for ref, cell in self._cells:
@@ -139,57 +132,22 @@ METRICS = MetricsRegistry()
 
 
 #: Counters that legitimately depend on how work was *scheduled*, not
-#: on what was computed: chunk bookkeeping, retries, pool lifecycle,
-#: budget trips.  Parity checks between serial and parallel runs must
-#: ignore them.
-SCHEDULING_METRICS = frozenset(
-    {
-        "parallel_chunks",
-        "parallel_fallbacks",
-        "chunk_retries",
-        "chunk_timeouts",
-        "pool_restarts",
-        "deadline_hits",
-        "degradations",
-    }
-)
-
-#: Counters that additionally vary under the *process* backend even
-#: when the computed work is identical: workers rebuild instances from
-#: pickles, recompile plans and re-derive cache entries in their own
-#: address space, and per-task justification snapshots can recompute a
-#: verdict another worker already knows.
-PROCESS_VARIANT_METRICS = frozenset(
-    {
-        "instances_built",
-        "instances_shared",
-        "facts_indexed",
-        "plans_compiled",
-        "plan_domains_pruned",
-        "justification_hits",
-        "justification_misses",
-    }
-)
+#: on what was computed: budget trips and degradations.  Parity checks
+#: between runs that must agree on the work done ignore them.
+SCHEDULING_METRICS = frozenset({"deadline_hits", "degradations"})
 
 
-def parity_view(snapshot: Mapping[str, int], backend: str = "thread") -> dict[str, int]:
-    """The executor-invariant projection of a metrics snapshot.
+def parity_view(snapshot: Mapping[str, int]) -> dict[str, int]:
+    """The work-invariant projection of a metrics snapshot.
 
-    ``backend="thread"`` (or ``"serial"``) drops only the scheduling
-    counters: everything else — including cache hits/misses, which the
-    single-flight caches keep deterministic — must match a serial run
-    exactly.  ``backend="process"`` additionally drops the
-    per-address-space counters and all cache statistics.
+    Drops only the scheduling counters: everything else — including
+    cache hits/misses, which the single-flight caches keep
+    deterministic under concurrent service threads — must match
+    exactly.
     """
     view: dict[str, int] = {}
     for name, value in snapshot.items():
         if name in SCHEDULING_METRICS:
-            continue
-        if backend == "process" and (
-            name in PROCESS_VARIANT_METRICS
-            or name.endswith("_cache_hits")
-            or name.endswith("_cache_misses")
-        ):
             continue
         view[name] = value
     return view
@@ -198,15 +156,14 @@ def parity_view(snapshot: Mapping[str, int], backend: str = "thread") -> dict[st
 def parity_diff(
     reference: Mapping[str, int],
     candidate: Mapping[str, int],
-    backend: str = "thread",
 ) -> dict[str, tuple[int, int]]:
     """``{name: (reference, candidate)}`` for every mismatched counter.
 
     Both snapshots are projected through :func:`parity_view` first; an
     empty result means the runs agree on every comparable counter.
     """
-    left = parity_view(reference, backend)
-    right = parity_view(candidate, backend)
+    left = parity_view(reference)
+    right = parity_view(candidate)
     diffs: dict[str, tuple[int, int]] = {}
     for name in sorted(set(left) | set(right)):
         a, b = left.get(name, 0), right.get(name, 0)

@@ -19,8 +19,8 @@ The compiler turns a conjunction of atoms into a reusable
 3. **Cache** — compiled plans live in an LRU keyed on
    ``(canonical key, target.epoch)``.  Instances are immutable and
    every construction stamps a fresh epoch, so a cached plan can never
-   describe stale indexes, and the key works across workers that
-   rebuilt an equal instance from a pickle.
+   describe stale indexes, and an equal instance rebuilt from a
+   pickle gets a key of its own.
 
 Slot encoding: ``("r", term)`` rigid (constant or frozen null),
 ``("b", i)`` the ``i``-th bound term, ``("v", i)`` the ``i``-th free

@@ -18,13 +18,8 @@ up on adversarial inputs.  This package is the answer:
   versioned snapshots of resumable enumeration state, so a crash or
   restart costs the delta since the last save instead of the run;
 * :mod:`~repro.resilience.chaos` — a seeded fault-schedule harness
-  that injects worker kills, delays, checkpoint corruption, clock skew
-  and pickling failures to *prove* the recovery guarantees hold.
-
-The executor-level fault tolerance (per-chunk timeouts, bounded retry,
-worker-fault recovery, heartbeat crash detection, fault injection)
-lives with the executor in :mod:`repro.engine.executor`; this package
-holds the algorithmic side.
+  that injects crashes, checkpoint corruption and clock skew to
+  *prove* the recovery guarantees hold.
 
 This package deliberately imports only :mod:`repro.errors`,
 :mod:`repro.engine` and :mod:`repro.observability` so that
@@ -35,7 +30,6 @@ cycles.
 from .anytime import AnytimeResult, Rung, Status
 from .chaos import (
     FAULT_KINDS,
-    SERIAL_FAULT_KINDS,
     ChaosReport,
     Fault,
     FaultSchedule,
@@ -66,7 +60,6 @@ __all__ = [
     "InjectedCrash",
     "Rung",
     "SEMANTIC_COUNTERS",
-    "SERIAL_FAULT_KINDS",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "Status",

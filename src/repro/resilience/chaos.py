@@ -1,13 +1,13 @@
 """A seeded chaos-engineering harness for the recovery guarantees.
 
-The checkpoint/resume layer and the hardened executor make strong
-promises: *any* crash-and-resume schedule yields results bit-identical
-to an uninterrupted run, with parity-clean metrics.  Promises like
+The checkpoint/resume layer makes a strong promise: *any*
+crash-and-resume schedule yields results bit-identical to an
+uninterrupted run, with parity-clean metrics.  Promises like
 that rot unless something keeps breaking the system on purpose — this
 module is that something.
 
 A :class:`FaultSchedule` expands a seed into a deterministic list of
-:class:`Fault` events drawn from five kinds:
+:class:`Fault` events drawn from three kinds:
 
 * ``crash``             — the process "dies" at a covering boundary
   (no error-path save runs; only cadenced snapshots survive, exactly
@@ -17,13 +17,7 @@ A :class:`FaultSchedule` expands a seed into a deterministic list of
   the cold-start fallback;
 * ``clock_skew``        — the checkpoint manager's monotonic clock
   jumps forward or backward, destabilizing the save cadence (and, when
-  the run carries a ``Deadline``, its expiry);
-* ``kill_worker``       — a process-pool worker calls ``os._exit``
-  mid-chunk (executor heartbeat / orphan-reassignment path);
-* ``delay_chunk``       — a chunk stalls long enough to trip the
-  per-chunk timeout and retry path;
-* ``pickle_failure``    — the worker raises a ``PicklingError``,
-  driving the executor's deterministic in-process degrade.
+  the run carries a ``Deadline``, its expiry).
 
 :func:`chaos_run` replays such a schedule against any checkpointable
 computation, restarting it lineage after lineage until one completes,
@@ -38,18 +32,10 @@ probe), which is exactly the granularity at which durability is
 promised: work inside a half-finished covering is lost by design and
 redone on resume, so from the outside a mid-covering crash is
 indistinguishable from a crash at the previous boundary.
-
-The executor fault hooks (:class:`KillWorkerOnce`,
-:class:`DelayChunkOnce`, :class:`FailPickleOnce`) are top-level
-picklable classes using an exclusive-create flag file to fire exactly
-once across a process pool — the same idiom the fault-injection test
-suite established.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
 import time
 from dataclasses import dataclass, field
@@ -59,21 +45,8 @@ from ..observability.metrics import METRICS
 from .checkpoint import CheckpointManager
 from .deadline import Deadline
 
-#: The full fault vocabulary.  ``crash``/``corrupt_checkpoint``/
-#: ``clock_skew`` are harness-level and run anywhere;
-#: ``kill_worker``/``delay_chunk``/``pickle_failure`` act on the
-#: parallel executor and need the run to use one.
-FAULT_KINDS = (
-    "crash",
-    "corrupt_checkpoint",
-    "clock_skew",
-    "kill_worker",
-    "delay_chunk",
-    "pickle_failure",
-)
-
-#: The kinds meaningful for a serial (in-process) run.
-SERIAL_FAULT_KINDS = ("crash", "corrupt_checkpoint", "clock_skew")
+#: The full fault vocabulary.
+FAULT_KINDS = ("crash", "corrupt_checkpoint", "clock_skew")
 
 
 class InjectedCrash(Exception):
@@ -92,7 +65,7 @@ class Fault:
 
     ``at`` parameterizes *when* the fault fires: the covering boundary
     for ``crash``, the lineage index for the others.  ``param`` is the
-    kind-specific magnitude (bytes to flip, seconds of skew/delay).
+    kind-specific magnitude (bytes to flip, seconds of skew).
     """
 
     kind: str
@@ -112,7 +85,7 @@ class FaultSchedule:
         self,
         seed: int,
         *,
-        kinds: Sequence[str] = SERIAL_FAULT_KINDS,
+        kinds: Sequence[str] = FAULT_KINDS,
         max_crashes: int = 3,
         horizon: int = 10,
     ):
@@ -140,9 +113,6 @@ class FaultSchedule:
                 faults.append(
                     Fault("clock_skew", lineage, rng.uniform(-30.0, 30.0))
                 )
-            for kind in ("kill_worker", "delay_chunk", "pickle_failure"):
-                if kind in kinds and rng.random() < 0.4:
-                    faults.append(Fault(kind, lineage, rng.uniform(0.05, 0.2)))
         #: Save cadence for the run, drawn so schedules exercise both
         #: save-every-boundary and lose-progress-since-last-save.
         self.every_ms = rng.choice([0.0001, 0.0001, 20.0, 200.0])
@@ -223,61 +193,6 @@ class _SkewedClock:
         # mid-run, where cadence arithmetic is most easily confused.
         offset = self.skew_s if self._calls > 2 else 0.0
         return time.monotonic() + offset
-
-
-# -- picklable executor fault hooks (flag-file claimed, fire once) ----------
-
-
-class _OneShot:
-    """Base for hooks that must fire exactly once across a process pool.
-
-    ``os.open(O_CREAT | O_EXCL)`` is the atomic claim: the first worker
-    (in whichever process) to create the flag file wins and fires; all
-    later invocations see ``FileExistsError`` and no-op.
-    """
-
-    def __init__(self, flag_path: str):
-        self.flag_path = flag_path
-
-    def _claim(self) -> bool:
-        try:
-            fd = os.open(self.flag_path, os.O_CREAT | os.O_EXCL)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-    def fire(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def __call__(self, chunk) -> None:
-        if self._claim():
-            self.fire()
-
-
-class KillWorkerOnce(_OneShot):
-    """Kill the hosting worker process outright (``os._exit``)."""
-
-    def fire(self) -> None:
-        os._exit(1)
-
-
-class DelayChunkOnce(_OneShot):
-    """Stall one chunk, e.g. past ``CONFIG.chunk_timeout_s``."""
-
-    def __init__(self, flag_path: str, delay_s: float):
-        super().__init__(flag_path)
-        self.delay_s = delay_s
-
-    def fire(self) -> None:
-        time.sleep(self.delay_s)
-
-
-class FailPickleOnce(_OneShot):
-    """Raise a ``PicklingError``, as a poisoned payload would."""
-
-    def fire(self) -> None:
-        raise pickle.PicklingError("chaos: injected pickling failure")
 
 
 @dataclass

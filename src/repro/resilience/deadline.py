@@ -24,11 +24,8 @@ Deadlines are **composable** (:meth:`combined_with` returns a deadline
 that trips when either constituent does, while work keeps accruing to
 both — e.g. a per-request deadline nested under a global one) and
 **picklable**: the wall-clock anchor is an absolute monotonic
-timestamp, valid across processes on one machine, so process-pool
-workers observe the same expiry as the parent.  Step/memory accounting
-performed inside a process worker stays in that worker (exactly like
-the engine counters); the parent's own checks still bound the overall
-run.
+timestamp, valid across processes on one machine, so an unpickled
+deadline observes the same expiry as the original.
 """
 
 from __future__ import annotations
@@ -221,8 +218,8 @@ class Deadline:
 
     def __reduce__(self):
         # Preserve the absolute monotonic expiry: on one machine the
-        # monotonic clock is system-wide, so workers in a process pool
-        # observe the same wall deadline as the parent.
+        # monotonic clock is system-wide, so an unpickled copy observes
+        # the same wall deadline as the original.
         return (
             _rebuild_deadline,
             (

@@ -14,9 +14,9 @@ interchangeable policy (ROADMAP open item 5):
   and :meth:`SemanticsStrategy.repair_and_recover`).
 
 Every method takes the same resource-governance keywords the core
-entry points take (``deadline``, ``mode``, ``executor``/``jobs``,
-enumeration budgets), so a strategy composes with the resilience
-ladder instead of sidestepping it: ``mode="degrade"`` must return an
+entry points take (``deadline``, ``mode``, enumeration budgets), so a
+strategy composes with the resilience ladder instead of sidestepping
+it: ``mode="degrade"`` must return an
 :class:`~repro.resilience.AnytimeResult` with honest ``status``/
 ``rung`` provenance, exactly like the paper pipeline does.
 

@@ -4,7 +4,7 @@ Pure delegation: every method forwards to the exact core entry point
 the pre-strategy code paths called, with identical defaults, so the
 ``paper`` mode is bit-identical to calling the core layer directly —
 the differential suite in ``tests/semantics`` pins this on the shared
-fixtures over both storage backends and all executors.  The only
+fixtures over both storage backends.  The only
 additions are the per-mode span/counter wrappers from
 :class:`~repro.semantics.base.BaseSemantics`, which observe results
 without touching them.

@@ -612,7 +612,6 @@ class RecoveryService:
         max_recoveries = get_int(
             body, "max_recoveries", cfg.max_recoveries, maximum=cfg.max_recoveries
         )
-        jobs = get_int(body, "jobs", None, maximum=64)
         verify = get_bool(body, "verify_justification", True)
         if endpoint == "recover":
             cores = get_bool(body, "cores", False)
@@ -626,7 +625,6 @@ class RecoveryService:
                         target,
                         max_recoveries=max_recoveries,
                         verify_justification=verify,
-                        jobs=jobs,
                         deadline=qos.deadline(),
                         mode=qos.mode,
                         checkpoint=manager,
@@ -657,7 +655,6 @@ class RecoveryService:
                         target,
                         max_recoveries=max_recoveries,
                         verify_justification=verify,
-                        jobs=jobs,
                         deadline=qos.deadline(),
                         mode=qos.mode,
                         checkpoint=manager,

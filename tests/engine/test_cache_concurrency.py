@@ -3,18 +3,17 @@
 Covers the resize/insert interleaving regression (a shrink racing an
 insert used to leave the cache above its new maxsize) and the
 single-flight miss protocol that keeps hit/miss counters deterministic
-under the thread executor.
+under concurrent threads.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 
 import pytest
 
-from repro.engine.cache import LRUCache, SingleFlightMap
+from repro.engine.cache import LRUCache
 
 
 class TestResizeInsertInterleaving:
@@ -98,47 +97,3 @@ class TestSingleFlight:
             return cache.get_or_compute("k", lambda: 5) + 1
 
         assert cache.get_or_compute("k", outer) == 6
-
-
-class TestSingleFlightMap:
-    def test_concurrent_misses_compute_once(self):
-        memo = SingleFlightMap()
-        n = 6
-        barrier = threading.Barrier(n)
-        calls: list[int] = []
-
-        def compute() -> str:
-            calls.append(1)
-            time.sleep(0.05)
-            return "verdict"
-
-        def worker() -> None:
-            barrier.wait()
-            assert memo.get_or_compute("key", compute) == "verdict"
-
-        threads = [threading.Thread(target=worker) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert memo.get("key") == "verdict"
-
-    def test_mapping_surface(self):
-        memo = SingleFlightMap({"a": 1})
-        memo["b"] = 2
-        memo.update({"c": 3})
-        assert "a" in memo and "d" not in memo
-        assert len(memo) == 3
-        assert dict(memo.items()) == {"a": 1, "b": 2, "c": 3}
-        assert memo.get("missing", "default") == "default"
-
-    def test_pickles_settled_entries_with_metric_names(self):
-        memo = SingleFlightMap(
-            {"a": 1}, hit_metric="justification_hits",
-            miss_metric="justification_misses",
-        )
-        clone = pickle.loads(pickle.dumps(memo))
-        assert clone.get("a") == 1
-        assert clone.hit_metric == "justification_hits"
-        assert clone.miss_metric == "justification_misses"

@@ -22,9 +22,9 @@ class TestConfig:
 
     def test_engine_options_restores_previous_values(self):
         before = CONFIG.as_dict()
-        with engine_options(lazy_indexes=False, min_parallel_items=99):
+        with engine_options(lazy_indexes=False, subsumers_cache_size=99):
             assert not CONFIG.lazy_indexes
-            assert CONFIG.min_parallel_items == 99
+            assert CONFIG.subsumers_cache_size == 99
         assert CONFIG.as_dict() == before
 
     def test_engine_options_restores_on_error(self):

@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro import (
-    Executor,
     Mapping,
     certain_answer,
     engine_options,
@@ -276,18 +275,10 @@ class TestOptionParity:
             RecoveryState(mapping_of(BULK), target, subsumption_mode="maybe")
 
 
-class TestExecutorParity:
-    """Cold recompute under every executor matches the maintained state."""
+class TestColdParity:
+    """A cold recompute matches the maintained state after a delta."""
 
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            pytest.param(None, id="serial"),
-            pytest.param(Executor(jobs=2, backend="thread"), id="thread"),
-            pytest.param(Executor(jobs=2, backend="process"), id="process"),
-        ],
-    )
-    def test_delta_result_matches_every_executor(self, executor):
+    def test_delta_result_matches_cold_recompute(self):
         mapping = mapping_of(AMBIGUOUS)
         state = RecoveryState(mapping, parse_instance("F(a, a), F(a, b)"))
         state.apply_delta(
@@ -296,9 +287,7 @@ class TestExecutorParity:
         query = parse_query("q(x) :- P(x)")
         maintained = state.certain(query)
         clear_registered_caches()
-        cold = inverse_chase(state.mapping, state.target, executor=executor)
+        cold = inverse_chase(state.mapping, state.target)
         assert [canon(r) for r in state.recoveries] == [canon(r) for r in cold]
         clear_registered_caches()
-        assert maintained == certain_answer(
-            query, state.mapping, state.target, executor=executor
-        )
+        assert maintained == certain_answer(query, state.mapping, state.target)

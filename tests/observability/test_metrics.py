@@ -7,7 +7,6 @@ import threading
 
 from repro.observability import (
     MetricsRegistry,
-    PROCESS_VARIANT_METRICS,
     SCHEDULING_METRICS,
     parity_diff,
     parity_view,
@@ -50,7 +49,7 @@ class TestRegistryBasics:
         assert other.get("y") == 1
 
     def test_delta_is_picklable(self):
-        # The executor ships these across the process-pool boundary.
+        # Checkpoint snapshots pickle these.
         reg = MetricsRegistry()
         reg.inc("homomorphisms_explored", 9)
         delta = reg.delta_since({})
@@ -67,7 +66,7 @@ class TestRegistryBasics:
 class TestRegistryThreading:
     def test_concurrent_increments_are_never_lost(self):
         # The old ``COUNTERS.name += 1`` read-modify-write dropped
-        # updates under the thread executor; ``inc`` must not.
+        # updates under racing threads; ``inc`` must not.
         reg = MetricsRegistry()
         threads_n, per_thread = 8, 5000
         barrier = threading.Barrier(threads_n)
@@ -118,32 +117,21 @@ class TestRegistryThreading:
 
 class TestParityViews:
     def test_scheduling_counters_are_dropped(self):
-        snap = {"homomorphisms_explored": 5, "parallel_chunks": 3}
+        snap = {"homomorphisms_explored": 5, "deadline_hits": 3}
         assert parity_view(snap) == {"homomorphisms_explored": 5}
         for name in SCHEDULING_METRICS:
             assert parity_view({name: 1}) == {}
 
     def test_thread_view_keeps_cache_stats(self):
         snap = {"hom_set_cache_hits": 4, "hom_set_cache_misses": 2}
-        assert parity_view(snap, backend="thread") == snap
-
-    def test_process_view_drops_per_address_space_counters(self):
-        snap = {
-            "homomorphisms_explored": 5,
-            "hom_set_cache_hits": 4,
-            "subsumers_cache_misses": 1,
-        }
-        snap.update({name: 1 for name in PROCESS_VARIANT_METRICS})
-        assert parity_view(snap, backend="process") == {
-            "homomorphisms_explored": 5
-        }
+        assert parity_view(snap) == snap
 
     def test_parity_diff_reports_mismatches_only(self):
-        ref = {"a": 1, "b": 2, "parallel_chunks": 9}
+        ref = {"a": 1, "b": 2, "degradations": 9}
         cand = {"a": 1, "b": 5}
         assert parity_diff(ref, cand) == {"b": (2, 5)}
 
     def test_parity_diff_empty_on_agreement(self):
-        ref = {"a": 1, "parallel_chunks": 7}
-        cand = {"a": 1, "parallel_fallbacks": 2}
+        ref = {"a": 1, "deadline_hits": 7}
+        cand = {"a": 1, "degradations": 2}
         assert parity_diff(ref, cand) == {}

@@ -162,7 +162,7 @@ class TestBackendEquivalence:
     @given(exchanges())
     def test_instance_pickle_with_store(self, exchange):
         """Pickling an instance whose sidecar exists must round-trip
-        (the process executor ships instances to workers)."""
+        (checkpoint snapshots pickle instances)."""
         _, _, target = exchange
         with engine_options(columnar_backend=True, columnar_min_facts=0):
             target.columnar_store()

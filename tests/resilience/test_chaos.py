@@ -6,15 +6,13 @@ crash-and-resume lineages yields results bit-identical to an
 uninterrupted run, with parity-clean semantic counters — on both the
 object and the columnar backend.  200 randomized schedules run here
 (100 per backend), in batches to keep each test comfortably under the
-suite timeout; the executor-level faults (worker kills, chunk delays,
-pickling failures) get dedicated real-process-pool scenarios on top.
+suite timeout.
 """
 
 import pytest
 
 from repro.core.inverse_chase import inverse_chase
 from repro.engine.config import engine_options
-from repro.engine.executor import Executor
 from repro.errors import DeadlineExceededError
 from repro.observability.metrics import METRICS
 from repro.resilience import (
@@ -24,13 +22,7 @@ from repro.resilience import (
     FaultSchedule,
     chaos_run,
 )
-from repro.resilience.chaos import (
-    ChaoticCheckpointManager,
-    DelayChunkOnce,
-    FailPickleOnce,
-    InjectedCrash,
-    KillWorkerOnce,
-)
+from repro.resilience.chaos import ChaoticCheckpointManager, InjectedCrash
 from repro.workloads.generators import scaled_recovery_workload
 
 SEMANTIC = (
@@ -131,92 +123,6 @@ class TestChaosProperty:
             except AssertionError as exc:
                 failures.append((seed, schedule, str(exc)))
         assert not failures, failures
-
-
-class TestExecutorChaos:
-    """Real process/thread pools under the executor-level fault kinds."""
-
-    def run_parallel(self, workload, mgr, hook=None, **overrides):
-        mapping, target = workload
-        options = dict(min_parallel_items=1, chunk_retries=3)
-        options.update(overrides)
-        if hook is not None:
-            options["inject_faults"] = hook
-        with engine_options(**options):
-            return inverse_chase(
-                mapping,
-                target,
-                checkpoint=mgr,
-                executor=Executor(jobs=2, backend="process", chunk_size=2),
-            )
-
-    def test_kill_worker_with_crash_resume(self, tmp_path, workload, references):
-        ref, _ = references["object"]
-        lineage = [0]
-
-        def run(mgr):
-            lineage[0] += 1
-            flag = tmp_path / f"kill-{lineage[0]}"
-            return self.run_parallel(workload, mgr, KillWorkerOnce(str(flag)))
-
-        base = METRICS.snapshot()
-        schedule = FaultSchedule(3, kinds=("crash",), max_crashes=1, horizon=6)
-        report = chaos_run(
-            run, schedule=schedule, checkpoint_path=tmp_path / "snap"
-        )
-        assert report.result == ref
-        assert report.crashes == len(schedule.crashes())
-        delta = METRICS.delta_since(base)
-        assert delta.get("worker_crashes", 0) >= 1
-        assert delta.get("orphans_reassigned", 0) >= 1
-
-    def test_delay_chunk_trips_timeout_not_results(
-        self, tmp_path, workload, references
-    ):
-        mapping, target = workload
-        ref, _ = references["object"]
-        base = METRICS.snapshot()
-        hook = DelayChunkOnce(str(tmp_path / "delay"), 0.4)
-        with engine_options(
-            min_parallel_items=1,
-            chunk_retries=3,
-            chunk_timeout_s=0.05,
-            inject_faults=hook,
-        ):
-            out = inverse_chase(
-                mapping,
-                target,
-                checkpoint=CheckpointManager(tmp_path / "snap", every_ms=0.0001),
-                executor=Executor(jobs=2, backend="thread", chunk_size=2),
-            )
-        assert out == ref
-        assert METRICS.delta_since(base).get("chunk_timeouts", 0) >= 1
-
-    def test_pickle_failure_degrades_in_process(
-        self, tmp_path, workload, references
-    ):
-        ref, _ = references["object"]
-        base = METRICS.snapshot()
-        mgr = CheckpointManager(tmp_path / "snap", every_ms=0.0001)
-        out = self.run_parallel(
-            workload, mgr, FailPickleOnce(str(tmp_path / "poison"))
-        )
-        assert out == ref
-        assert METRICS.delta_since(base).get("parallel_fallbacks", 0) >= 1
-
-    def test_parallel_crash_resumes_to_identical_results(
-        self, tmp_path, workload, references
-    ):
-        """A full chaos schedule where every lineage runs on a process pool."""
-        ref, _ = references["object"]
-        schedule = FaultSchedule(9, kinds=("crash",), max_crashes=2, horizon=8)
-        report = chaos_run(
-            lambda mgr: self.run_parallel(workload, mgr),
-            schedule=schedule,
-            checkpoint_path=tmp_path / "snap",
-        )
-        assert report.result == ref
-        assert report.lineages == report.crashes + 1
 
 
 class TestClockSkew:

@@ -306,32 +306,6 @@ class TestInverseChaseResume:
         assert mgr.resume_outcome == "rejected-corrupt"
         assert out == ref
 
-    def test_cross_executor_resume(self, tmp_path, workload, reference):
-        mapping, target = workload
-        ref, _ = reference
-        path = tmp_path / "snap"
-        # Serial lineage writes; parallel lineage resumes — the
-        # snapshot deliberately excludes executor configuration.
-        self.interrupt(mapping, target, path)
-        mgr = CheckpointManager(path, resume=True)
-        out = inverse_chase(mapping, target, checkpoint=mgr, jobs=2)
-        assert out == ref
-        assert mgr.resume_outcome in ("resumed", "complete")
-
-    def test_parallel_lineage_writes_serial_resumes(
-        self, tmp_path, workload, reference
-    ):
-        mapping, target = workload
-        ref, _ = reference
-        path = tmp_path / "snap"
-        mgr = CheckpointManager(path, every_ms=0.0001)
-        out = inverse_chase(mapping, target, checkpoint=mgr, jobs=2)
-        assert out == ref
-        mgr2 = CheckpointManager(path, resume=True)
-        out2 = inverse_chase(mapping, target, checkpoint=mgr2)
-        assert out2 == ref
-        assert mgr2.resume_outcome == "complete"
-
     def test_checkpoint_counters_and_file_exist(self, tmp_path, workload):
         mapping, target = workload
         path = tmp_path / "snap"

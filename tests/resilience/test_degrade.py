@@ -242,19 +242,6 @@ class TestThreadedEntryPoints:
             list(repairs(mapping, altered, deadline=Deadline(max_steps=1)))
         assert "candidates_tried" in excinfo.value.progress
 
-    def test_deadline_in_worker_processes(self, branching_scenario):
-        """A pickled deadline expires inside process workers too, and
-        the resulting error propagates as an application error."""
-        mapping, target = branching_scenario
-        budget, _ = _steps_to_emit(mapping, target, wanted=1)
-        with pytest.raises(DeadlineExceededError):
-            inverse_chase(
-                mapping,
-                target,
-                deadline=Deadline(max_steps=budget),
-                jobs=2,
-            )
-
 
 class TestBudgetPartial:
     def test_budget_error_carries_partial(self, branching_scenario):

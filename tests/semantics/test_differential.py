@@ -2,12 +2,11 @@
 
 The tentpole refactor's contract is that routing through
 ``repro.semantics`` changes *nothing* about the default semantics: for
-every fixture, storage backend and executor, the ``paper`` strategy
-must return exactly what calling the core entry points directly
-returns — same values, same order, same provenance tags.  The direct
-core call is computed fresh inside every parameter combination, so a
-backend- or executor-dependent divergence cannot hide behind a cached
-expectation.
+every fixture and storage backend, the ``paper`` strategy must
+return exactly what calling the core entry points directly returns —
+same values, same order, same provenance tags.  The direct core call
+is computed fresh inside every parameter combination, so a
+backend-dependent divergence cannot hide behind a cached expectation.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.core.repair import repairs
 from repro.core.semantics import is_recovery
 from repro.core.validity import is_valid_for_recovery
 from repro.engine.config import engine_options
-from repro.engine.executor import Executor
 from repro.logic.parser import parse_query
 from repro.resilience import AnytimeResult, Deadline
 from repro.semantics import get_semantics
@@ -46,19 +44,12 @@ def _fixture(name):
 
 FIXTURES = ("lemma1", "intro_split_scaled", "employee_benefits_scaled")
 BACKENDS = ("columnar", "object")
-EXECUTORS = ("serial", "thread", "process")
 
 
 def _backend_options(backend):
     if backend == "columnar":
         return {"columnar_backend": True, "columnar_min_facts": 0}
     return {"columnar_backend": False}
-
-
-def _executor(kind):
-    if kind == "serial":
-        return None
-    return Executor(jobs=2, backend=kind)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -109,31 +100,6 @@ class TestPaperBitIdentical:
         assert isinstance(actual, AnytimeResult)
         assert actual == expected
         assert actual.is_exact
-
-
-@pytest.mark.parametrize("executor", EXECUTORS)
-class TestPaperBitIdenticalAcrossExecutors:
-    def test_recoveries_match(self, executor):
-        mapping, target, _ = _fixture("lemma1")
-        runner = _executor(executor)
-        expected = inverse_chase(
-            mapping, target, max_recoveries=MAX_RECOVERIES, executor=runner
-        )
-        actual = get_semantics("paper").recoveries(
-            mapping, target, max_recoveries=MAX_RECOVERIES, executor=runner
-        )
-        assert actual == expected
-
-    def test_certain_matches(self, executor):
-        mapping, target, query = _fixture("lemma1")
-        runner = _executor(executor)
-        expected = certain_answer(
-            query, mapping, target, max_recoveries=MAX_RECOVERIES, executor=runner
-        )
-        actual = get_semantics("paper").certain(
-            query, mapping, target, max_recoveries=MAX_RECOVERIES, executor=runner
-        )
-        assert actual == expected
 
 
 class TestPaperOracleDelegation:

@@ -233,5 +233,5 @@ class TestCounterParity:
         finally:
             concurrent_service.shutdown()
 
-        diffs = parity_diff(serial, concurrent, backend="thread")
+        diffs = parity_diff(serial, concurrent)
         assert not diffs, f"counter parity broken: {diffs}"

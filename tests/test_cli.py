@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.data.io import load_instance, save_instance, save_mapping
 from repro.logic.parser import parse_instance, parse_tgds
@@ -281,7 +287,7 @@ class TestSemanticsFlag:
 
 
 class TestEngineFlags:
-    def test_recover_with_jobs_and_stats(self, workspace, capsys):
+    def test_recover_with_stats(self, workspace, capsys):
         _, mapping_path, _, target_path = workspace
         code = main(
             [
@@ -290,8 +296,6 @@ class TestEngineFlags:
                 str(mapping_path),
                 "--target",
                 str(target_path),
-                "--jobs",
-                "2",
                 "--stats",
             ]
         )
@@ -300,14 +304,6 @@ class TestEngineFlags:
         assert "recovery(ies):" in captured.out
         assert "engine counters" in captured.err
         assert "coverings_evaluated" in captured.err
-
-    def test_jobs_output_matches_serial(self, workspace, capsys):
-        _, mapping_path, _, target_path = workspace
-        base = ["recover", "--mapping", str(mapping_path), "--target", str(target_path)]
-        assert main(base) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base + ["--jobs", "4"]) == 0
-        assert capsys.readouterr().out == serial_out
 
     def test_certain_accepts_stats(self, workspace, tmp_path, capsys):
         _, mapping_path, _, target_path = workspace
@@ -424,23 +420,6 @@ class TestObservability:
         assert "run report" in err
         assert "trace:" in err
 
-    def test_stats_parity_between_serial_and_parallel(self, workspace, tmp_path):
-        import json
-
-        from repro.observability import parity_diff
-
-        _, mapping_path, _, target_path = workspace
-        base = ["recover", "--mapping", str(mapping_path), "--target", str(target_path)]
-
-        def counters_of(extra, name):
-            out = tmp_path / name
-            assert main(base + ["--metrics-json", str(out)] + extra) == 0
-            return json.loads(out.read_text())["counters"]
-
-        serial = counters_of(["--jobs", "1"], "serial.json")
-        parallel = counters_of(["--jobs", "4"], "parallel.json")
-        assert parity_diff(serial, parallel, backend="thread") == {}
-
 
 class TestArgumentValidation:
     """Non-positive resource knobs are rejected up front with exit code 2."""
@@ -450,10 +429,6 @@ class TestArgumentValidation:
         [
             ("--deadline-ms", "0"),
             ("--deadline-ms", "-5"),
-            ("--retries", "0"),
-            ("--retries", "-1"),
-            ("--jobs", "0"),
-            ("--jobs", "-2"),
             ("--checkpoint-every-ms", "0"),
             ("--checkpoint-every-ms", "-100"),
         ],
@@ -474,20 +449,9 @@ class TestArgumentValidation:
         assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
 
-    def test_non_numeric_value_exit_2(self, workspace, capsys):
-        _, mapping_path, _, target_path = workspace
+    def test_non_numeric_value_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "recover",
-                    "--mapping",
-                    str(mapping_path),
-                    "--target",
-                    str(target_path),
-                    "--jobs",
-                    "many",
-                ]
-            )
+            main(["serve", "--max-inflight", "many"])
         assert exc.value.code == 2
         assert "not an integer" in capsys.readouterr().err
 
@@ -506,6 +470,47 @@ class TestArgumentValidation:
             )
         assert exc.value.code == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """A missing or unreadable input file exits 2 (usage error), never 1
+    (which means "empty/negative result"), and prints no traceback."""
+
+    @pytest.mark.parametrize("broken", ["missing-mapping", "missing-target", "dir-target"])
+    def test_unreadable_input_exits_2(self, workspace, broken):
+        tmp_path, mapping_path, _, target_path = workspace
+        if broken == "missing-mapping":
+            mapping_path = bad = tmp_path / "missing.mapping"
+        elif broken == "missing-target":
+            target_path = bad = tmp_path / "missing.instance"
+        else:
+            target_path = bad = tmp_path
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "recover",
+                "--mapping",
+                str(mapping_path),
+                "--target",
+                str(target_path),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {bad}: ")
 
 
 class TestCheckpointFlags:

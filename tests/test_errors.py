@@ -64,12 +64,11 @@ def roundtrip(error):
 
 
 class TestPickleRoundTrips:
-    """Every library error must survive a process-pool boundary intact.
+    """Every library error must survive a pickle round-trip intact.
 
-    The hardened executor ships exceptions between processes; an error
-    that loses attributes (or fails to unpickle outright, the default
-    for exceptions with non-trivial constructors) would turn a precise
-    failure into a crash or a silently degraded one.
+    An error that loses attributes (or fails to unpickle outright, the
+    default for exceptions with non-trivial constructors) would turn a
+    precise failure into a crash or a silently degraded one.
     """
 
     @pytest.mark.parametrize(
