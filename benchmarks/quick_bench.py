@@ -1,29 +1,14 @@
 #!/usr/bin/env python
 """Quick-bench harness for the engine layer (PR regression gate).
 
-Times the inverse-chase and certainty benchmarks on small fixtures in
-two engine modes and writes a JSON report:
-
-* ``seed``   — every engine optimisation off: the pre-engine code path
-  (eager indexes, no incremental index maintenance, no sort cache, no
-  memoization, no value fast paths, no join kernel);
-* ``serial`` — all optimisations on.
-
-A separate ablation isolates the compiled join-plan kernel: the same
-workloads (plus J-validity) run with everything on except the kernel,
-against everything on including it, and the report records the
-speedup and verifies the result sets are identical.
+Times the inverse-chase and certainty benchmarks on a small fixture
+and writes a JSON report.
 
 The report's per-phase timings come from the observability layer's
 span tree (one traced run, see ``measure_traced_phases``) rather than
 ad-hoc stopwatches.  ``--metrics-json`` additionally writes that run's
 counters + trace as the same JSON document the CLI's flag of that
 name produces, for CI artifact upload.
-
-Each measurement rebuilds its fixture *inside* the mode's
-configuration context, so seed-mode timings never benefit from hashes
-or caches populated while the optimisations were enabled.  Result sets
-are verified identical across modes before any timing is reported.
 
 A scaling-curve section (``--scale-sizes``, skip with ``--no-scaling``)
 compares the interned columnar storage backend against the object
@@ -73,14 +58,12 @@ from conftest import lemma1_fixture
 
 from repro.core.certain import certain_answer
 from repro.core.inverse_chase import inverse_chase
-from repro.core.validity import is_valid_for_recovery
 from repro.data.atoms import Atom
 from repro.data.terms import Constant
 from repro.engine import CONFIG, COUNTERS, engine_options
 from repro.engine.cache import clear_registered_caches
 from repro.incremental import RecoveryState
-from repro.logic.parser import parse_instance, parse_query, parse_tgds
-from repro.logic.tgds import Mapping
+from repro.logic.parser import parse_query
 from repro.observability import (
     METRICS,
     TRACER,
@@ -90,22 +73,9 @@ from repro.observability import (
 from repro.resilience import CheckpointManager, Deadline
 from repro.workloads import path_query, scaled_recovery_workload
 
-#: The engine configuration emulating the pre-engine code path.
-SEED_OPTIONS = dict(
-    lazy_indexes=False,
-    incremental_ops=False,
-    sort_cache=False,
-    memoize_hom_sets=False,
-    memoize_subsumers=False,
-    value_fastpaths=False,
-    join_kernel=False,
-)
-
 #: Fixture size: the Lemma-1-remark family, asymmetric (3 S-facts,
 #: 4 T-facts -> |Chase^-1| = 1398).  Big enough that a run takes a
-#: few hundred milliseconds -- timer noise stays well below the gate
-#: margin -- while the full two-mode sweep finishes in under a
-#: minute.
+#: few hundred milliseconds, so timer noise stays small.
 N_S, N_T = 3, 4
 
 
@@ -130,7 +100,7 @@ def bench_certainty():
     mapping, target = fixture()
     # First components are certain (every recovery covers every S-fact),
     # so the answer set is nonempty and the intersection never
-    # early-exits: all modes evaluate the full recovery set.
+    # early-exits: the full recovery set is evaluated.
     query = parse_query("q(x) :- R(x, y)")
     return certain_answer(
         query,
@@ -146,23 +116,15 @@ BENCHMARKS = {
     "certainty": bench_certainty,
 }
 
-MODES = {
-    "seed": SEED_OPTIONS,
-    "serial": {},
-}
-
-
-def measure(fn, options, repeats):
-    """Best-of / mean-of timings, with the fixture built per mode."""
+def measure(fn, repeats):
+    """Best-of / mean-of timings after one warmup run."""
     timings = []
-    result = None
-    with engine_options(**options) if options else engine_options():
-        clear_registered_caches()
-        result = fn()  # warmup + the result to verify
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            timings.append(time.perf_counter() - start)
+    clear_registered_caches()
+    result = fn()  # warmup + the result to report
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - start)
     return {
         "best_s": min(timings),
         "mean_s": statistics.fmean(timings),
@@ -171,152 +133,16 @@ def measure(fn, options, repeats):
 
 
 def canonical(result):
-    """A mode-independent fingerprint of a benchmark's result.
+    """A backend-independent fingerprint of a benchmark's result.
 
-    Sorted in every branch: the join kernel enumerates in a different
-    (deterministic) order than the backtracking matcher, so sequences
-    are compared as sets of fingerprints.
+    Sorted in every branch, so sequences are compared as sets of
+    fingerprints.
     """
     if isinstance(result, (set, frozenset)):
         return sorted(str(answer) for answer in result)
     if isinstance(result, (list, tuple)):
         return sorted(str(recovery) for recovery in result)
     return [str(result)]
-
-
-# --------------------------------------------------------------------
-# Join-kernel ablation: everything on, with and without the kernel.
-# The workloads lean on the homomorphism engine harder than the mode
-# sweep above: a recovery computation whose finishing-homomorphism
-# step is a pure projection (the kernel short-circuits each plan
-# component; the matcher enumerates the full cross product before the
-# collapsed bindings dedup away), a path query evaluated through the
-# certainty pipeline (early projection dedups before materializing),
-# and a J-validity refutation whose cost is the hom-set join itself.
-# --------------------------------------------------------------------
-
-def _random_edges(nodes: int, edges: int, seed: int) -> list[tuple[int, int]]:
-    rng = random.Random(seed)
-    found: set[tuple[int, int]] = set()
-    while len(found) < edges:
-        found.add((rng.randrange(nodes), rng.randrange(nodes)))
-    return sorted(found)
-
-
-def ablation_inverse_chase():
-    """Recovery of a shared-existential mapping over midpoint bundles.
-
-    The target is ``k`` bundles ``u_i -> mid_ixj -> v_i`` with ``d``
-    parallel midpoints each; every 2-path hom is forced into the one
-    minimal cover, and the backward instance is ground, so
-    Definition 9's finishing step is a pure existence question asked
-    of a ``d^k``-homomorphism forward instance.  The kernel's
-    projection short-circuits each midpoint component; the matcher
-    enumerates the full cross product before the collapsed bindings
-    dedup to the single finishing substitution.  Justification
-    verification is off so the finishing search, not the Definition-2
-    oracle, is what's timed.
-    """
-    mapping = Mapping(parse_tgds("R(x, y) -> S(x, z), S(z, y)"))
-    facts = []
-    for i in range(5):
-        for j in range(6):
-            facts += [f"S(u{i}, mid{i}x{j})", f"S(mid{i}x{j}, v{i})"]
-    target = parse_instance(", ".join(facts))
-    return inverse_chase(mapping, target, verify_justification=False)
-
-
-def ablation_certainty():
-    """A path join query answered through the certainty pipeline."""
-    mapping = Mapping(parse_tgds("R(x, y) -> S(x, y)"))
-    target = parse_instance(
-        ", ".join(f"S(n{a}, n{b})" for a, b in _random_edges(22, 250, 9))
-    )
-    query = parse_query("q(x, w) :- R(x, y), R(y, z), R(z, w)")
-    return certain_answer(
-        query,
-        mapping,
-        target,
-        max_recoveries=100000,
-        verify_justification=False,
-    )
-
-
-def ablation_validity():
-    """Refuting J-validity where the cost is the hom-set join.
-
-    The tgd head is a 3-path, so ``HOM(Sigma, J)`` enumerates every
-    path of the graph; an isolated extra edge is uncoverable, making
-    the answer False right after that enumeration.
-    """
-    mapping = Mapping(parse_tgds("P(x, w) -> S(x, y), S(y, z), S(z, w)"))
-    edges = _random_edges(20, 150, 17)
-    facts = [f"S(n{a}, n{b})" for a, b in edges] + ["S(iso1, iso2)"]
-    target = parse_instance(", ".join(facts))
-    return is_valid_for_recovery(mapping, target, max_covers=10000)
-
-
-KERNEL_ABLATION = {
-    "inverse_chase": ablation_inverse_chase,
-    "certainty": ablation_certainty,
-    "validity": ablation_validity,
-}
-
-
-def measure_ablation(fn, options, repeats):
-    """Like :func:`measure`, but cold-cache on every timed repeat.
-
-    The ablation workloads can be dominated by a single memoized
-    computation (e.g. the hom-set); clearing the registered caches
-    before each repeat times the computation itself, identically for
-    both kernel modes, instead of a cache hit.
-    """
-    timings = []
-    with engine_options(**options):
-        clear_registered_caches()
-        result = fn()  # warmup + the result to verify
-        for _ in range(repeats):
-            clear_registered_caches()
-            start = time.perf_counter()
-            fn()
-            timings.append(time.perf_counter() - start)
-    return {
-        "best_s": min(timings),
-        "mean_s": statistics.fmean(timings),
-        "repeats": repeats,
-    }, result
-
-
-def run_kernel_ablation(repeats: int, min_speedup: float):
-    """Time each ablation workload with the kernel on and off."""
-    section = {}
-    wins = 0
-    identical = True
-    for name, fn in KERNEL_ABLATION.items():
-        on_timing, on_result = measure_ablation(
-            fn, {"join_kernel": True}, repeats
-        )
-        off_timing, off_result = measure_ablation(
-            fn, {"join_kernel": False}, repeats
-        )
-        same = canonical(on_result) == canonical(off_result)
-        identical = identical and same
-        speedup = round(off_timing["best_s"] / on_timing["best_s"], 2)
-        wins += speedup >= min_speedup
-        section[name] = {
-            "kernel_on": on_timing,
-            "kernel_off": off_timing,
-            "speedup": speedup,
-            "results_identical_across_modes": same,
-        }
-        print(
-            f"kernel ablation {name}:"
-            f" on={on_timing['best_s']:.3f}s"
-            f" off={off_timing['best_s']:.3f}s ({speedup}x)"
-            + ("" if same else "  RESULTS DIFFER")
-        )
-    section["results_identical_across_modes"] = identical
-    return section, wins, identical
 
 
 # --------------------------------------------------------------------
@@ -872,21 +698,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats")
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.5,
-        help="fail unless serial beats seed by this factor on every benchmark",
-    )
-    parser.add_argument(
-        "--min-kernel-speedup",
-        type=float,
-        default=1.5,
-        help=(
-            "fail unless the join kernel beats the matcher by this factor "
-            "on at least two ablation workloads"
-        ),
-    )
-    parser.add_argument(
         "--max-deadline-overhead",
         type=float,
         default=5.0,
@@ -979,43 +790,12 @@ def main(argv=None) -> int:
     }
     failures = []
     for name, fn in BENCHMARKS.items():
-        results = {}
-        fingerprints = {}
-        for mode, options in MODES.items():
-            timing, result = measure(fn, options, args.repeats)
-            results[mode] = timing
-            fingerprints[mode] = canonical(result)
-        if fingerprints["seed"] != fingerprints["serial"]:
-            print(f"FAIL {name}: modes disagree on the result set", file=sys.stderr)
-            return 1
-        seed = results["seed"]["best_s"]
-        speedups = {
-            "serial_vs_seed": round(seed / results["serial"]["best_s"], 2),
+        timing, result = measure(fn, args.repeats)
+        report["benchmarks"][name] = {
+            "serial": timing,
+            "result_size": len(canonical(result)),
         }
-        results["speedups"] = speedups
-        results["result_size"] = len(fingerprints["seed"])
-        results["results_identical_across_modes"] = True
-        report["benchmarks"][name] = results
-        line = (
-            f"{name}: seed={seed:.3f}s"
-            f" serial={results['serial']['best_s']:.3f}s ({speedups['serial_vs_seed']}x)"
-        )
-        print(line)
-        if speedups["serial_vs_seed"] < args.min_speedup:
-            failures.append(name)
-
-    ablation, kernel_wins, kernel_identical = run_kernel_ablation(
-        args.repeats, args.min_kernel_speedup
-    )
-    report["kernel_ablation"] = ablation
-    if not kernel_identical:
-        print(
-            "FAIL kernel ablation: kernel and matcher disagree on results",
-            file=sys.stderr,
-        )
-        return 1
-    if kernel_wins < 2:
-        failures.append("kernel_speedup")
+        print(f"{name}: serial={timing['best_s']:.3f}s")
 
     # The overhead is a small ratio of two ~150ms timings, so it needs
     # more repeats than the throughput benchmarks for a stable minimum.

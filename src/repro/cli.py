@@ -81,14 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="print engine counters (work done, cache hits) after the run",
         )
         p.add_argument(
-            "--no-join-kernel",
-            action="store_true",
-            help=(
-                "disable the compiled join-plan kernel and fall back to the "
-                "backtracking matcher (debugging/differential runs)"
-            ),
-        )
-        p.add_argument(
             "--no-columnar",
             action="store_true",
             help=(
@@ -504,9 +496,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         parser.error("--resume requires --checkpoint PATH")
     COUNTERS.reset()
-    previous_kernel = CONFIG.join_kernel
-    if getattr(args, "no_join_kernel", False):
-        configure(join_kernel=False)
     previous_columnar = CONFIG.columnar_backend
     if getattr(args, "no_columnar", False):
         configure(columnar_backend=False)
@@ -546,10 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        configure(
-            join_kernel=previous_kernel,
-            columnar_backend=previous_columnar,
-        )
+        configure(columnar_backend=previous_columnar)
         elapsed_ms = (time.perf_counter() - started) * 1000
         trace = TRACER.to_dict() if tracing else None
         # One RunReport serves every output surface: --stats renders it

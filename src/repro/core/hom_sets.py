@@ -20,7 +20,6 @@ from ..data.instances import Instance
 from ..data.substitutions import Substitution
 from ..data.terms import Term
 from ..engine.cache import PartitionedLRUCache
-from ..engine.config import CONFIG
 from ..logic.homomorphisms import homomorphisms
 from ..logic.tgds import TGD, Mapping
 from ..observability.spans import TRACER
@@ -113,13 +112,16 @@ def tgd_homomorphisms(
         yield TargetHomomorphism(tgd, restricted)
 
 
+#: LRU capacity of the hom-set memo (per cache partition).
+HOM_SET_CACHE_SIZE = 256
+
 #: Memo for ``HOM(Sigma, J)``, keyed by the (hashable, immutable)
 #: mapping/target pair.  The inverse chase, the certainty pipeline and
 #: the baselines all recompute the same hom-set for a scenario; caching
-#: it removes that redundancy (see ``CONFIG.memoize_hom_sets``).
-#: Partitioned so multi-tenant callers (the service layer) keep
-#: per-tenant warm state that no other tenant can evict.
-_HOM_SET_CACHE = PartitionedLRUCache("hom_set", maxsize=CONFIG.hom_set_cache_size)
+#: it removes that redundancy.  Partitioned so multi-tenant callers
+#: (the service layer) keep per-tenant warm state that no other tenant
+#: can evict.
+_HOM_SET_CACHE = PartitionedLRUCache("hom_set", maxsize=HOM_SET_CACHE_SIZE)
 
 
 def hom_set(
@@ -144,9 +146,6 @@ def hom_set(
             homs.sort(key=lambda h: (h.tgd.name or "", repr(h.substitution)))
             return tuple(homs)
 
-    if not CONFIG.memoize_hom_sets:
-        return list(compute())
-    _HOM_SET_CACHE.resize(CONFIG.hom_set_cache_size)
     return list(_HOM_SET_CACHE.get_or_compute((mapping, target), compute))
 
 
@@ -159,11 +158,10 @@ def seed_hom_set(
     validated snapshot (the snapshot's mapping/target fingerprints were
     checked first, so the seed is known to belong to this pair), letting
     a restarted process skip the full recomputation.  A no-op when
-    memoization is off or the entry is already present.
+    ``homs`` is empty or the entry is already present.
     """
-    if not CONFIG.memoize_hom_sets or not homs:
+    if not homs:
         return
-    _HOM_SET_CACHE.resize(CONFIG.hom_set_cache_size)
     _HOM_SET_CACHE.get_or_compute((mapping, target), lambda: tuple(homs))
 
 

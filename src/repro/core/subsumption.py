@@ -40,7 +40,6 @@ from ..data.atoms import Atom
 from ..data.substitutions import Substitution
 from ..data.terms import Constant, Term, Variable
 from ..engine.cache import PartitionedLRUCache
-from ..engine.config import CONFIG
 from ..errors import BudgetExceededError
 from ..logic.tgds import TGD, Mapping
 from ..observability.spans import TRACER
@@ -349,12 +348,13 @@ def _canonical_constraint(
     return SubsumptionConstraint(parts, conclusion)
 
 
+#: LRU capacity of the ``SUB(Sigma)`` memo (per cache partition).
+SUBSUMERS_CACHE_SIZE = 128
+
 #: Memo for ``SUB(Sigma)``.  The constraint derivation depends only on
 #: the mapping, so the inverse chase pays it once per scenario instead
-#: of once per call (see ``CONFIG.memoize_subsumers``).
-_SUBSUMERS_CACHE = PartitionedLRUCache(
-    "subsumers", maxsize=CONFIG.subsumers_cache_size
-)
+#: of once per call.
+_SUBSUMERS_CACHE = PartitionedLRUCache("subsumers", maxsize=SUBSUMERS_CACHE_SIZE)
 
 
 def minimal_subsumers(
@@ -377,9 +377,6 @@ def minimal_subsumers(
         with TRACER.span("core.subsumption.derive", aggregate=True):
             return _derive_subsumers(mapping, max_premises, limit)
 
-    if not CONFIG.memoize_subsumers:
-        return list(compute())
-    _SUBSUMERS_CACHE.resize(CONFIG.subsumers_cache_size)
     return list(
         _SUBSUMERS_CACHE.get_or_compute((mapping, max_premises, limit), compute)
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ..engine.config import CONFIG
 from .terms import Constant, Null, Term, Variable
 
 TermLike = Union[Term, str, int]
@@ -121,11 +120,10 @@ class Atom:
 
     def apply(self, mapping: Mapping[Term, Term]) -> "Atom":
         """Replace arguments by their image in ``mapping`` (missing = keep)."""
-        args = tuple(mapping.get(t, t) for t in self._args)
-        if CONFIG.value_fastpaths:
-            # The images of a term-to-term mapping need no coercion.
-            return Atom._of_terms(self._relation, args)
-        return Atom(self._relation, args)
+        # The images of a term-to-term mapping need no coercion.
+        return Atom._of_terms(
+            self._relation, tuple(mapping.get(t, t) for t in self._args)
+        )
 
     def map_terms(self, fn: Callable[[Term], Term]) -> "Atom":
         """Apply ``fn`` to every argument."""

@@ -14,8 +14,8 @@ substitution application) return new instances.  This keeps the many
 intermediate instances of the inverse chase safe to share and to use
 as dictionary keys.
 
-Two engine optimisations (see :mod:`repro.engine.config`) keep
-chase-heavy loops from going quadratic in index work:
+Two optimisations keep chase-heavy loops from going quadratic in
+index work:
 
 * **lazy indexing** — the indexes are built on first lookup, not at
   construction.  Most intermediate instances (recovery images,
@@ -114,8 +114,6 @@ class Instance:
         object.__setattr__(self, "_store", None)
         object.__setattr__(self, "_lineage", None)
         METRICS.inc("instances_built")
-        if not CONFIG.lazy_indexes:
-            self._ensure_indexes()
 
     # -- constructors --------------------------------------------------------
 
@@ -142,8 +140,6 @@ class Instance:
         object.__setattr__(inst, "_store", None)
         object.__setattr__(inst, "_lineage", None)
         METRICS.inc("instances_built")
-        if not CONFIG.lazy_indexes:
-            inst._ensure_indexes()
         return inst
 
     @classmethod
@@ -387,17 +383,16 @@ class Instance:
             return self
         if not self._facts:
             return other
-        if CONFIG.incremental_ops:
-            # Grow from the side whose indexes already exist (prefer the
-            # larger one when both do); the other side's facts are the
-            # delta the builder re-indexes.
-            base, extra = self, other
-            if (other._indexes_built, len(other)) > (self._indexes_built, len(self)):
-                base, extra = other, self
-            if base._indexes_built:
-                builder = InstanceBuilder(base)
-                builder.add_validated(extra._facts)
-                return builder.build()
+        # Grow from the side whose indexes already exist (prefer the
+        # larger one when both do); the other side's facts are the delta
+        # the builder re-indexes.
+        base, extra = self, other
+        if (other._indexes_built, len(other)) > (self._indexes_built, len(self)):
+            base, extra = other, self
+        if base._indexes_built:
+            builder = InstanceBuilder(base)
+            builder.add_validated(extra._facts)
+            return builder.build()
         return Instance._from_validated(self._facts | other._facts)
 
     def difference(self, other: "Instance") -> "Instance":
@@ -415,7 +410,7 @@ class Instance:
                 raise SchemaError(
                     f"instances may not contain variables, got {fact}"
                 )
-        if CONFIG.incremental_ops and self._indexes_built:
+        if self._indexes_built:
             builder = InstanceBuilder(self)
             builder.add_validated(extra)
             return builder.build()
@@ -425,7 +420,7 @@ class Instance:
         removed = frozenset(removed) & self._facts
         if not removed:
             return self
-        if CONFIG.incremental_ops and self._indexes_built:
+        if self._indexes_built:
             builder = InstanceBuilder(self)
             for fact in removed:
                 builder.discard(fact)
@@ -447,9 +442,7 @@ class Instance:
             # homomorphism this way whenever it is the identity off
             # dom(J)).
             return self
-        if CONFIG.value_fastpaths and not any(
-            isinstance(v, Variable) for v in mapping.values()
-        ):
+        if not any(isinstance(v, Variable) for v in mapping.values()):
             # A variable-free range keeps every image a storable fact,
             # so the per-fact validation of the constructor is skipped.
             return Instance._from_validated(
@@ -621,19 +614,14 @@ class InstanceBuilder:
     def build(self) -> Instance:
         """Freeze the builder into an :class:`Instance`.
 
-        When the base instance's indexes exist and incremental
-        operations are enabled, the result adopts merged copies of them
-        instead of re-indexing from scratch.
+        When the base instance's indexes exist, the result adopts merged
+        copies of them instead of re-indexing from scratch.
         """
         base = self._base
         if base is not None and not self._added and not self._removed:
             return base
         fact_set = self.facts()
-        if (
-            base is None
-            or not base._indexes_built
-            or not CONFIG.incremental_ops
-        ):
+        if base is None or not base._indexes_built:
             return Instance._from_validated(fact_set)
 
         by_relation = dict(base._by_relation)

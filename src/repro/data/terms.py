@@ -24,8 +24,6 @@ import itertools
 import threading
 from typing import Iterable, Union
 
-from ..engine.config import CONFIG
-
 
 class Term:
     """Base class of :class:`Constant`, :class:`Null` and :class:`Variable`.
@@ -80,8 +78,7 @@ class Term:
         cached = self._hash
         if cached is None:
             cached = hash((self._rank, self._key))
-            if CONFIG.value_fastpaths:
-                object.__setattr__(self, "_hash", cached)
+            object.__setattr__(self, "_hash", cached)
         return cached
 
     def __lt__(self, other: "Term") -> bool:

@@ -1,4 +1,4 @@
-"""The performance layer: caches, counters, feature flags.
+"""The performance layer: caches, counters, engine settings.
 
 ``repro.engine`` holds everything that makes the reproduction fast
 without changing *what* is computed:
@@ -7,8 +7,9 @@ without changing *what* is computed:
   ``hom_set`` and ``minimal_subsumers``;
 * :data:`~repro.engine.counters.COUNTERS` — lightweight perf counters
   surfaced by the CLI's ``--stats`` flag;
-* :data:`~repro.engine.config.CONFIG` — switches for every
-  optimisation, so benchmarks can measure each in isolation.
+* :data:`~repro.engine.config.CONFIG` — the three engine settings:
+  default semantics mode, columnar backend on/off and its size
+  threshold.
 
 This package deliberately never imports ``repro.data`` / ``repro.core``
 (they import *it*), keeping the layering acyclic.

@@ -38,7 +38,7 @@ Code that never enters a partition uses the default partition (``""``)
 and behaves byte-for-byte like the old shared cache — the library and
 CLI paths are unchanged.  Per-partition capacity budgets are pinned
 with :func:`configure_partition` (a pinned partition ignores global
-``resize`` calls, so ``CONFIG``-driven resizes cannot lift a tenant's
+``resize`` calls, so resizing the shared cache cannot lift a tenant's
 budget), and :func:`drop_cache_partition` releases a tenant's state
 wholesale.  All partitions of a cache share its metric keys, so
 process-wide counter totals aggregate across tenants unchanged.
@@ -395,10 +395,9 @@ class PartitionedLRUCache:
     def resize(self, maxsize: int) -> None:
         """Resize the active partition — unless its budget is pinned.
 
-        Config-driven resizes (``CONFIG.plan_cache_size`` checks on the
-        hot path) flow through here; a tenant partition with a pinned
-        budget ignores them, so tuning the global knob never grows or
-        shrinks a tenant's allocation.
+        A tenant partition with a pinned budget ignores resizes, so
+        tuning the shared capacity never grows or shrinks a tenant's
+        allocation.
         """
         partition = current_partition()
         if partition and partition_budget(partition) is not None:

@@ -3,8 +3,8 @@
 Almost every algorithm in the paper reduces to finding homomorphisms:
 evaluating conjunctive queries, computing HOM(Sigma, J), checking
 (I, J) |= Sigma, the final step of the inverse chase (homomorphisms
-identity on dom(J)), and the glb soundness proofs.  This module
-implements one backtracking matcher used for all of them.
+identity on dom(J)), and the glb soundness proofs.  This module is
+the one entry point all of them share.
 
 A *pattern* is a conjunction of atoms whose arguments are constants,
 nulls and variables.  The matcher maps every *mappable* term of the
@@ -14,15 +14,14 @@ homomorphism ("identity on Cons").  Callers can freeze selected nulls
 (treat them as rigid) to obtain homomorphisms that are the identity on
 a chosen subdomain, which Definition 9 needs.
 
-Two engines implement the search behind one interface.  The default
-(``CONFIG.join_kernel``) compiles the pattern into a cached join plan
-(see :mod:`repro.planner`) with static atom ordering, candidate-domain
-pruning and early projection; the original backtracking matcher below
-remains the fallback and the differential-testing oracle.  The
-backtracking search uses dynamic most-constrained-atom-first ordering
-backed by the per-position indexes of
-:class:`~repro.data.instances.Instance`, so patterns with constants or
-shared variables prune aggressively.
+Every search runs on the compiled join-plan kernel (see
+:mod:`repro.planner`): cached plans with static atom ordering,
+candidate-domain pruning and early projection.  The backtracking
+matcher below (:func:`_oracle_homomorphisms`) is never called by the
+engine; it is the reference implementation the kernel is
+differentially tested against.  It uses dynamic
+most-constrained-atom-first ordering backed by the per-position indexes
+of :class:`~repro.data.instances.Instance`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from ..data.atoms import Atom
 from ..data.instances import Instance
 from ..data.substitutions import Substitution
 from ..data.terms import Constant, Null, Term, Variable
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..planner.evaluate import kernel_has_homomorphism, kernel_homomorphisms
 
@@ -124,17 +122,13 @@ def _search(
     # sets.  Backtracking recreates frames over the same candidate sets
     # many times, so the sort is memoized per search: frozensets cache
     # their hash, making them cheap dictionary keys.
-    sort_cache: Optional[dict[frozenset[Atom], tuple[Atom, ...]]] = (
-        {} if CONFIG.sort_cache else None
-    )
+    presorts: dict[frozenset[Atom], tuple[Atom, ...]] = {}
 
     def ordered(candidates: frozenset[Atom]) -> tuple[Atom, ...]:
-        if sort_cache is None:
-            return tuple(sorted(candidates))
-        presorted = sort_cache.get(candidates)
+        presorted = presorts.get(candidates)
         if presorted is None:
             presorted = tuple(sorted(candidates))
-            sort_cache[candidates] = presorted
+            presorts[candidates] = presorted
         return presorted
 
     def make_frame(atoms: list[Atom]) -> list:
@@ -148,12 +142,10 @@ def _search(
     pending_steps = 0
     while stack:
         if deadline is not None:
-            # The matcher is the innermost loop of every NP-hard path,
-            # so this is where cooperative cancellation gains its
-            # responsiveness — but a Python call per frame visit costs
-            # more than the visit itself.  Batch: charge 32 steps every
-            # 32 frames, keeping the overhead of a never-tripping
-            # deadline to a local integer increment per node.
+            # A Python call per frame visit costs more than the visit
+            # itself.  Batch: charge 32 steps every 32 frames, keeping
+            # the overhead of a never-tripping deadline to a local
+            # integer increment per node.
             pending_steps += 1
             if pending_steps >= 32:
                 deadline.step(pending_steps, "homomorphism search")
@@ -185,6 +177,31 @@ def _search(
             continue
 
 
+def _oracle_homomorphisms(
+    pattern: Sequence[Atom],
+    target: Instance,
+    *,
+    base: Optional[Mapping[Term, Term]] = None,
+    frozen: Iterable[Term] = (),
+    deadline: Optional["Deadline"] = None,
+    project: Optional[Iterable[Term]] = None,
+) -> Iterator[Substitution]:
+    """:func:`homomorphisms` computed by the backtracking matcher.
+
+    The differential-testing oracle for the join kernel: same
+    signature, same result set, deliberately independent code.
+    """
+    binding: dict[Term, Term] = dict(base) if base else {}
+    seen: set[Substitution] = set()
+    for raw in _search(list(pattern), target, binding, frozenset(frozen), deadline):
+        sub = Substitution(raw)
+        if project is not None:
+            sub = sub.restrict(project)
+        if sub not in seen:
+            seen.add(sub)
+            yield sub
+
+
 def homomorphisms(
     pattern: Sequence[Atom],
     target: Instance,
@@ -213,26 +230,14 @@ def homomorphisms(
         unprojected bindings, and distinct homomorphisms agreeing on
         ``project`` collapse to one result.
     """
-    frozen_set = frozenset(frozen)
-    if CONFIG.join_kernel:
-        yield from kernel_homomorphisms(
-            pattern,
-            target,
-            base=base,
-            frozen=frozen_set,
-            deadline=deadline,
-            project=project,
-        )
-        return
-    binding: dict[Term, Term] = dict(base) if base else {}
-    seen: set[Substitution] = set()
-    for raw in _search(list(pattern), target, binding, frozen_set, deadline):
-        sub = Substitution(raw)
-        if project is not None:
-            sub = sub.restrict(project)
-        if sub not in seen:
-            seen.add(sub)
-            yield sub
+    yield from kernel_homomorphisms(
+        pattern,
+        target,
+        base=base,
+        frozen=frozenset(frozen),
+        deadline=deadline,
+        project=project,
+    )
 
 
 def find_homomorphism(
@@ -261,19 +266,11 @@ def has_homomorphism(
 ) -> bool:
     """Whether any homomorphism from ``pattern`` into ``target`` exists.
 
-    With the join kernel enabled this runs in existence-only mode:
-    each plan component stops at its first solution and no bindings
-    are ever materialized.
+    This runs the kernel in existence-only mode: each plan component
+    stops at its first solution and no bindings are ever materialized.
     """
-    if CONFIG.join_kernel:
-        return kernel_has_homomorphism(
-            pattern, target, base=base, frozen=frozenset(frozen), deadline=deadline
-        )
-    return (
-        find_homomorphism(
-            pattern, target, base=base, frozen=frozen, deadline=deadline
-        )
-        is not None
+    return kernel_has_homomorphism(
+        pattern, target, base=base, frozen=frozenset(frozen), deadline=deadline
     )
 
 
@@ -318,8 +315,14 @@ def homomorphically_equivalent(left: Instance, right: Instance) -> bool:
     return maps_into(left, right) and maps_into(right, left)
 
 
-def is_isomorphic(left: Instance, right: Instance) -> bool:
-    """Whether the instances differ only by a renaming of nulls."""
+def is_isomorphic(
+    left: Instance, right: Instance, deadline: Optional["Deadline"] = None
+) -> bool:
+    """Whether the instances differ only by a renaming of nulls.
+
+    ``deadline`` bounds the homomorphism enumeration cooperatively (see
+    :func:`homomorphisms`).
+    """
     if len(left) != len(right):
         return False
     if left.constants() != right.constants():
@@ -328,7 +331,7 @@ def is_isomorphic(left: Instance, right: Instance) -> bool:
     right_nulls = right.nulls()
     if len(left_nulls) != len(right_nulls):
         return False
-    for sub in instance_homomorphisms(left, right):
+    for sub in instance_homomorphisms(left, right, deadline=deadline):
         if not sub.is_injective:
             continue
         if any(not isinstance(v, Null) for v in sub.values()):

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from ..data.atoms import Atom, atoms_variables
 from ..data.instances import Instance
 from ..data.terms import Constant, Null, Term, Variable
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..errors import DependencyError
 from ..planner.vectorized import vector_query_tuples
@@ -100,7 +99,7 @@ class ConjunctiveQuery:
         so the join kernel deduplicates per plan component and never
         materializes bindings for purely existential variables.
         """
-        if CONFIG.value_fastpaths and len(self._body) == 1:
+        if len(self._body) == 1:
             return self._evaluate_single_atom(instance)
         store = instance.columnar_store()
         if store is not None:

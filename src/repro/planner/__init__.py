@@ -1,7 +1,7 @@
 """The join-plan homomorphism kernel.
 
-The backtracking matcher of :mod:`repro.logic.homomorphisms` re-derives
-atom order and candidate sets from scratch on every call.  This package
+A backtracking matcher re-derives atom order and candidate sets from
+scratch on every call.  This package
 compiles a pattern once into a :class:`~repro.planner.plan.Plan` — a
 join plan with a static atom order, per-atom candidate lists pruned by
 semi-join (arc-consistency) passes, and a decomposition into connected
@@ -9,9 +9,10 @@ components — caches the plan in an LRU keyed on the pattern's canonical
 form and the target's epoch, and evaluates it with early projection and
 an existence-only mode.
 
-Dispatch lives in :func:`repro.logic.homomorphisms.homomorphisms`
-behind ``CONFIG.join_kernel``; the old matcher remains both the
-fallback and the differential-testing oracle.
+Every homomorphism search of the engine runs here, through
+:func:`repro.logic.homomorphisms.homomorphisms`.  The backtracking
+matcher kept in that module is not a fallback: it is the oracle the
+kernel is differentially tested against.
 """
 
 from .plan import Plan, canonicalize, compile_plan, plan_for

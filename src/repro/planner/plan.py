@@ -37,7 +37,6 @@ from ..data.atoms import Atom
 from ..data.instances import Instance
 from ..data.terms import Constant, Term
 from ..engine.cache import LRUCache, PartitionedLRUCache
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
 
@@ -48,7 +47,11 @@ _ARC_PASSES = 4
 #: the probe index will narrow their candidates at evaluation time.
 _PROBE_DISCOUNT = 0.25
 
-_PLAN_CACHE = PartitionedLRUCache("plan", maxsize=512)
+#: LRU capacity of the compiled-plan caches (object and vectorized),
+#: keyed on ``(canonical pattern, instance epoch)``.
+PLAN_CACHE_SIZE = 512
+
+_PLAN_CACHE = PartitionedLRUCache("plan", maxsize=PLAN_CACHE_SIZE)
 
 
 def _mappable(term: Term, frozen: frozenset[Term]) -> bool:
@@ -94,7 +97,8 @@ def canonicalize(
     key, and the translation tables mapping each variable / bound id
     back to the concrete term of *this* pattern.  Two patterns equal up
     to renaming of their mappable terms yield the same key whenever the
-    structural sort fully determines the atom order.
+    structural sort fully determines the atom order; the key never
+    depends on the order of ``pattern``.
     """
     base_keys = frozenset(base) if base else frozenset()
     memo_key = (tuple(pattern), frozen, base_keys)
@@ -108,7 +112,14 @@ def _canonicalize(
     frozen: frozenset[Term],
     base_keys: frozenset[Term],
 ) -> tuple[tuple, list[Term], list[Term]]:
-    ordered = sorted(pattern, key=lambda a: _atom_sort_key(a, frozen, base_keys))
+    # Atoms equal up to the names of their mappable terms tie in the
+    # structural order; breaking ties by those names keeps the plan, and
+    # with it the enumeration order, independent of the input order of
+    # the pattern (often a frozenset's hash order).
+    ordered = sorted(
+        pattern,
+        key=lambda a: (_atom_sort_key(a, frozen, base_keys), _pool_order(a)),
+    )
     var_terms: list[Term] = []
     var_ids: dict[Term, int] = {}
     bound_terms: list[Term] = []
@@ -439,8 +450,6 @@ def plan_for(
     for this concrete pattern (they vary per call even on a cache hit).
     """
     key, var_terms, bound_terms = canonicalize(pattern, frozen, base)
-    if _PLAN_CACHE.maxsize != CONFIG.plan_cache_size:
-        _PLAN_CACHE.resize(CONFIG.plan_cache_size)
     plan = _PLAN_CACHE.get_or_compute(
         (key, target.epoch), lambda: compile_plan(key, target)
     )

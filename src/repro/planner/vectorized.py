@@ -39,16 +39,21 @@ from ..data.columnar import ColumnarRelation, ColumnarStore
 from ..data.substitutions import Substitution
 from ..data.terms import Term
 from ..engine.cache import PartitionedLRUCache
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
-from .plan import _ARC_PASSES, _connected_components, _join_order, canonicalize
+from .plan import (
+    _ARC_PASSES,
+    PLAN_CACHE_SIZE,
+    _connected_components,
+    _join_order,
+    canonicalize,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..data.instances import Instance
     from ..resilience import Deadline
 
-_VECTOR_PLAN_CACHE = PartitionedLRUCache("vector_plan", maxsize=512)
+_VECTOR_PLAN_CACHE = PartitionedLRUCache("vector_plan", maxsize=PLAN_CACHE_SIZE)
 
 #: Sentinel id for a bound value that was never interned: no column can
 #: hold it, so every comparison against it fails (bound ids are only
@@ -349,8 +354,6 @@ def _passes_bound_checks(
 
 def _vector_prepare(pattern, target, store, base, frozen):
     key, var_terms, bound_terms = canonicalize(pattern, frozen, base)
-    if _VECTOR_PLAN_CACHE.maxsize != CONFIG.plan_cache_size:
-        _VECTOR_PLAN_CACHE.resize(CONFIG.plan_cache_size)
     plan = _VECTOR_PLAN_CACHE.get_or_compute(
         (key, target.epoch), lambda: compile_vector_plan(key, store)
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..data.instances import Instance
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from .plan import _PLAN_CACHE, compile_plan
 from .vectorized import _VECTOR_PLAN_CACHE, compile_vector_plan
@@ -93,8 +92,6 @@ def warm_plan_caches(keys: Optional[dict], target: Instance) -> int:
         return 0
     warmed = 0
     epoch = target.epoch
-    if _PLAN_CACHE.maxsize != CONFIG.plan_cache_size:
-        _PLAN_CACHE.resize(CONFIG.plan_cache_size)
     for key in keys.get("object") or ():
         try:
             _PLAN_CACHE.get_or_compute(
@@ -107,8 +104,6 @@ def warm_plan_caches(keys: Optional[dict], target: Instance) -> int:
     if vector_keys:
         store = target.columnar_store()
         if store is not None:
-            if _VECTOR_PLAN_CACHE.maxsize != CONFIG.plan_cache_size:
-                _VECTOR_PLAN_CACHE.resize(CONFIG.plan_cache_size)
             for key in vector_keys:
                 try:
                     _VECTOR_PLAN_CACHE.get_or_compute(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hom_sets import hom_set
-from repro.engine import CONFIG, COUNTERS, engine_options
+from repro.engine import CONFIG, COUNTERS, EngineConfig, engine_options
 from repro.engine.cache import LRUCache, clear_registered_caches
 from repro.logic.parser import parse_instance, parse_tgds
 from repro.logic.tgds import Mapping
@@ -14,24 +14,28 @@ from repro.reporting import format_counters
 
 class TestConfig:
     def test_defaults_enable_all_optimisations(self):
-        assert CONFIG.lazy_indexes
-        assert CONFIG.incremental_ops
-        assert CONFIG.sort_cache
-        assert CONFIG.memoize_hom_sets
-        assert CONFIG.memoize_subsumers
+        # Every optimisation is unconditional: the only settings left
+        # pick a semantics mode and a storage backend.
+        assert EngineConfig.__slots__ == (
+            "semantics",
+            "columnar_backend",
+            "columnar_min_facts",
+        )
+        assert set(CONFIG.as_dict()) == set(EngineConfig.__slots__)
 
     def test_engine_options_restores_previous_values(self):
         before = CONFIG.as_dict()
-        with engine_options(lazy_indexes=False, subsumers_cache_size=99):
-            assert not CONFIG.lazy_indexes
-            assert CONFIG.subsumers_cache_size == 99
+        with engine_options(semantics="exchange_repairs", columnar_min_facts=99):
+            assert CONFIG.semantics == "exchange_repairs"
+            assert CONFIG.columnar_min_facts == 99
         assert CONFIG.as_dict() == before
 
     def test_engine_options_restores_on_error(self):
+        before = CONFIG.columnar_min_facts
         with pytest.raises(RuntimeError):
-            with engine_options(sort_cache=False):
+            with engine_options(columnar_min_facts=before + 1):
                 raise RuntimeError
-        assert CONFIG.sort_cache
+        assert CONFIG.columnar_min_facts == before
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError):
@@ -79,21 +83,12 @@ class TestMemoization:
         stats = COUNTERS.snapshot()
         assert stats["hom_set_cache_hits"] >= 1
 
-    def test_memoization_can_be_disabled(self, pipeline):
-        mapping, target = pipeline
-        with engine_options(memoize_hom_sets=False):
-            baseline = COUNTERS.snapshot()
-            hom_set(mapping, target)
-            hom_set(mapping, target)
-            after = COUNTERS.snapshot()
-        assert after["hom_set_cache_hits"] == baseline["hom_set_cache_hits"]
-
     def test_disabled_memoization_matches_enabled(self, pipeline):
         mapping, target = pipeline
-        with engine_options(memoize_hom_sets=False, memoize_subsumers=False):
-            plain = hom_set(mapping, target)
         memoized = hom_set(mapping, target)
-        assert plain == memoized
+        clear_registered_caches()
+        fresh = hom_set(mapping, target)
+        assert fresh == memoized
 
 
 class TestValueFastpaths:
@@ -103,21 +98,26 @@ class TestValueFastpaths:
 
         atom = Atom("R", (Variable("x"), Constant("a"), Null("N")))
         mapping = {Variable("x"): Constant("b"), Null("N"): Null("M")}
-        with engine_options(value_fastpaths=False):
-            slow = atom.apply(mapping)
+        expected = Atom("R", (Constant("b"), Constant("a"), Null("M")))
         fast = atom.apply(mapping)
-        assert fast == slow and hash(fast) == hash(slow)
+        assert fast == expected and hash(fast) == hash(expected)
 
     def test_instance_apply_matches_validating_path(self):
-        from repro.logic.parser import parse_instance
+        from repro.data.atoms import Atom
+        from repro.data.instances import Instance
         from repro.data.terms import Constant, Null
+        from repro.logic.parser import parse_instance
 
         inst = parse_instance("R(a, ?N1), S(?N1)")
         mapping = {Null("N1"): Constant("c")}
-        with engine_options(value_fastpaths=False):
-            slow = inst.apply(mapping)
+        expected = Instance(
+            [
+                Atom("R", (Constant("a"), Constant("c"))),
+                Atom("S", (Constant("c"),)),
+            ]
+        )
         fast = inst.apply(mapping)
-        assert fast == slow
+        assert fast == expected and hash(fast) == hash(expected)
 
     def test_instance_apply_still_validates_variable_ranges(self):
         from repro.data.terms import Null, Variable
@@ -131,10 +131,10 @@ class TestValueFastpaths:
     def test_term_hashes_are_stable_across_modes(self):
         from repro.data.terms import Constant
 
-        with engine_options(value_fastpaths=False):
-            plain = hash(Constant("a"))
-        assert hash(Constant("a")) == plain
-        assert hash(Constant("a")) == plain  # cached second call
+        term = Constant("a")
+        first = hash(term)
+        assert hash(term) == first  # cached second call
+        assert hash(Constant("a")) == first  # an equal, fresh term
 
 
 class TestCounters:

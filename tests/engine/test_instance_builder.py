@@ -7,7 +7,6 @@ import pytest
 from repro.data.atoms import Atom
 from repro.data.instances import Instance, InstanceBuilder
 from repro.data.terms import Constant
-from repro.engine import engine_options
 from repro.errors import SchemaError
 
 
@@ -69,28 +68,36 @@ class TestBuilderBasics:
 
 
 class TestIncrementalEquivalence:
-    """The incremental index path must match from-scratch construction."""
+    """The incremental index path must match from-scratch construction.
+
+    ``incremental`` builds the base's indexes first, so the builder
+    patches them; ``rebuild`` leaves them unbuilt, so it re-indexes the
+    result from scratch.
+    """
 
     @pytest.fixture(params=[True, False], ids=["incremental", "rebuild"])
-    def incremental(self, request):
-        with engine_options(incremental_ops=request.param):
-            yield request.param
+    def prepare(self, request):
+        def prepare(base: Instance) -> None:
+            if request.param:
+                base.relation_names  # force the base indexes
 
-    def test_additions(self, incremental):
+        return prepare
+
+    def test_additions(self, prepare):
         base = Instance(FACTS[:3])
-        base.relation_names  # force the base indexes
+        prepare(base)
         built = InstanceBuilder(base).add_all(FACTS[3:]).build()
         assert_equivalent(built, Instance(FACTS))
 
-    def test_removals(self, incremental):
+    def test_removals(self, prepare):
         base = Instance(FACTS)
-        base.relation_names
+        prepare(base)
         built = InstanceBuilder(base).discard_all(FACTS[1:3]).build()
         assert_equivalent(built, Instance(FACTS[:1] + FACTS[3:]))
 
-    def test_mixed_delta(self, incremental):
+    def test_mixed_delta(self, prepare):
         base = Instance(FACTS[:4])
-        base.relation_names
+        prepare(base)
         built = (
             InstanceBuilder(base)
             .discard(FACTS[0])
@@ -102,21 +109,21 @@ class TestIncrementalEquivalence:
             built, Instance(FACTS[1:4] + [FACTS[4], a("R", 7, 7)])
         )
 
-    def test_union(self, incremental):
+    def test_union(self, prepare):
         left = Instance(FACTS[:3])
         right = Instance(FACTS[2:])
-        left.relation_names
+        prepare(left)
         assert_equivalent(left.union(right), Instance(FACTS))
 
-    def test_with_and_without_facts(self, incremental):
+    def test_with_and_without_facts(self, prepare):
         base = Instance(FACTS[:3])
-        base.relation_names
+        prepare(base)
         assert_equivalent(base.with_facts(FACTS[3:]), Instance(FACTS))
         assert_equivalent(base.without_facts([FACTS[0]]), Instance(FACTS[1:3]))
 
-    def test_removing_last_fact_of_relation(self, incremental):
+    def test_removing_last_fact_of_relation(self, prepare):
         base = Instance(FACTS)
-        base.relation_names
+        prepare(base)
         built = base.without_facts([a("T", 1, 2, 3)])
         assert "T" not in built.relation_names
         assert_equivalent(built, Instance(FACTS[:4]))
@@ -124,27 +131,20 @@ class TestIncrementalEquivalence:
 
 class TestLazyIndexes:
     def test_lazy_instances_index_on_first_lookup(self):
-        with engine_options(lazy_indexes=True):
-            inst = Instance(FACTS)
-            assert not inst._indexes_built
-            inst.facts_for("R")
-            assert inst._indexes_built
-
-    def test_eager_mode_indexes_at_construction(self):
-        with engine_options(lazy_indexes=False):
-            assert Instance(FACTS)._indexes_built
+        inst = Instance(FACTS)
+        assert not inst._indexes_built
+        inst.facts_for("R")
+        assert inst._indexes_built
 
     def test_equality_and_hash_do_not_build_indexes(self):
-        with engine_options(lazy_indexes=True):
-            left, right = Instance(FACTS), Instance(FACTS)
-            assert left == right and hash(left) == hash(right)
-            assert not left._indexes_built and not right._indexes_built
+        left, right = Instance(FACTS), Instance(FACTS)
+        assert left == right and hash(left) == hash(right)
+        assert not left._indexes_built and not right._indexes_built
 
     def test_index_sharing_for_untouched_relations(self):
-        with engine_options(lazy_indexes=True, incremental_ops=True):
-            base = Instance(FACTS)
-            base.relation_names
-            built = InstanceBuilder(base).add(a("S", 99)).build()
-            # "R" was untouched: its index entry is shared, not rebuilt.
-            assert built.facts_for("R") is base.facts_for("R")
-            assert built.facts_for("S") is not base.facts_for("S")
+        base = Instance(FACTS)
+        base.relation_names
+        built = InstanceBuilder(base).add(a("S", 99)).build()
+        # "R" was untouched: its index entry is shared, not rebuilt.
+        assert built.facts_for("R") is base.facts_for("R")
+        assert built.facts_for("S") is not base.facts_for("S")

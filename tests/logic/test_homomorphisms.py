@@ -5,6 +5,7 @@ import pytest
 from repro.data.atoms import atom
 from repro.data.instances import instance
 from repro.data.terms import Constant, Null, Variable
+from repro.errors import DeadlineExceededError
 from repro.logic.homomorphisms import (
     find_homomorphism,
     has_homomorphism,
@@ -16,6 +17,7 @@ from repro.logic.homomorphisms import (
     sets_homomorphically_equivalent,
     sets_map_into,
 )
+from repro.resilience import Deadline
 
 
 class TestPatternMatching:
@@ -135,6 +137,13 @@ class TestIsomorphism:
     def test_isomorphism_is_reflexive(self):
         i = instance(atom("R", "?N", "a"))
         assert is_isomorphic(i, i)
+
+    def test_deadline_bounds_the_search(self):
+        left = instance(*(atom("R", f"?N{i}", f"?N{i + 1}") for i in range(60)))
+        right = instance(*(atom("R", f"?M{i}", f"?M{i + 1}") for i in range(60)))
+        with pytest.raises(DeadlineExceededError):
+            is_isomorphic(left, right, deadline=Deadline(max_steps=1))
+        assert is_isomorphic(left, right, deadline=Deadline(max_steps=10**6))
 
 
 class TestInstanceSets:

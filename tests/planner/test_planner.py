@@ -19,7 +19,11 @@ from repro.engine.cache import clear_registered_caches
 from repro.engine.config import CONFIG, engine_options
 from repro.engine.counters import COUNTERS
 from repro.errors import DeadlineExceededError
-from repro.logic.homomorphisms import has_homomorphism, homomorphisms
+from repro.logic.homomorphisms import (
+    _oracle_homomorphisms,
+    has_homomorphism,
+    homomorphisms,
+)
 from repro.planner.plan import canonicalize, plan_for
 from repro.resilience import Deadline
 
@@ -37,14 +41,12 @@ def S(*args):
 
 
 def oracle_set(pattern, target, **kw):
-    """The backtracking matcher's answer set (kernel disabled)."""
-    with engine_options(join_kernel=False):
-        return set(homomorphisms(pattern, target, **kw))
+    """The backtracking matcher's answer set (the reference oracle)."""
+    return set(_oracle_homomorphisms(pattern, target, **kw))
 
 
 def kernel_set(pattern, target, **kw):
-    with engine_options(join_kernel=True):
-        return set(homomorphisms(pattern, target, **kw))
+    return set(homomorphisms(pattern, target, **kw))
 
 
 class TestCanonicalize:
@@ -103,14 +105,6 @@ class TestPlanCache:
         plan_for([R(x, y)], second)
         assert COUNTERS.plans_compiled == before + 2
 
-    def test_cache_resizes_to_configured_size(self):
-        target = Instance([R(a, b)])
-        with engine_options(plan_cache_size=7):
-            plan_for([R(x, y)], target)
-            from repro.planner.plan import _PLAN_CACHE
-
-            assert _PLAN_CACHE.maxsize == 7
-
 
 class TestInstanceEpoch:
     def test_epochs_are_unique_per_object(self):
@@ -150,8 +144,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: str(p))
     def test_existence_agrees_with_enumeration(self, pattern):
-        with engine_options(join_kernel=True):
-            exists = has_homomorphism(pattern, self.TARGET)
+        exists = has_homomorphism(pattern, self.TARGET)
         assert exists == bool(oracle_set(pattern, self.TARGET))
 
     def test_base_bindings_are_respected(self):
@@ -179,9 +172,8 @@ class TestKernelEquivalence:
 
     def test_deterministic_order_across_calls(self):
         pattern = [R(x, y), R(y, z)]
-        with engine_options(join_kernel=True):
-            first = list(homomorphisms(pattern, self.TARGET))
-            second = list(homomorphisms(pattern, self.TARGET))
+        first = list(homomorphisms(pattern, self.TARGET))
+        second = list(homomorphisms(pattern, self.TARGET))
         assert first == second
 
 
@@ -222,9 +214,8 @@ class TestDeadlineInsideKernel:
         facts = [R(Constant(f"c{i}"), Constant(f"c{i + 1}")) for i in range(60)]
         target = Instance(facts)
         deadline = Deadline(max_steps=1)
-        with engine_options(join_kernel=True):
-            with pytest.raises(DeadlineExceededError):
-                list(homomorphisms([R(x, y), R(y, z)], target, deadline=deadline))
+        with pytest.raises(DeadlineExceededError):
+            list(homomorphisms([R(x, y), R(y, z)], target, deadline=deadline))
 
     def test_existence_mode_also_cooperates(self):
         # A path has no 2-cycles, yet every value sits in both join
@@ -233,9 +224,8 @@ class TestDeadlineInsideKernel:
         facts = [R(Constant(f"c{i}"), Constant(f"c{i + 1}")) for i in range(60)]
         target = Instance(facts)
         deadline = Deadline(max_steps=1)
-        with engine_options(join_kernel=True):
-            with pytest.raises(DeadlineExceededError):
-                has_homomorphism([R(x, y), R(y, x)], target, deadline=deadline)
+        with pytest.raises(DeadlineExceededError):
+            has_homomorphism([R(x, y), R(y, x)], target, deadline=deadline)
 
 
 class TestCounters:
@@ -244,8 +234,7 @@ class TestCounters:
         clear_registered_caches()
         compiled = COUNTERS.plans_compiled
         evaluated = COUNTERS.plan_components_evaluated
-        with engine_options(join_kernel=True):
-            list(homomorphisms([R(x, y), S(z)], target))
+        list(homomorphisms([R(x, y), S(z)], target))
         assert COUNTERS.plans_compiled == compiled + 1
         assert COUNTERS.plan_components_evaluated >= evaluated + 2
 
@@ -264,12 +253,18 @@ class TestCounters:
 
 class TestConfigToggle:
     def test_default_is_on(self):
-        assert CONFIG.join_kernel is True
+        """The join kernel serves every search: a call compiles a plan."""
+        target = Instance([R(a, b)])
+        clear_registered_caches()
+        before = COUNTERS.plans_compiled
+        list(homomorphisms([R(x, y)], target))
+        assert COUNTERS.plans_compiled == before + 1
 
     def test_toggling_clears_plan_cache(self):
+        """Switching the storage backend never serves a stale plan."""
         target = Instance([R(a, b)])
         plan_for([R(x, y)], target)
         from repro.planner.plan import _PLAN_CACHE
 
-        with engine_options(join_kernel=False):
+        with engine_options(columnar_backend=not CONFIG.columnar_backend):
             assert len(_PLAN_CACHE) == 0

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from repro.data.atoms import Atom
 from repro.data.instances import Instance
 from repro.data.terms import Constant, Null, Variable
-from repro.engine.config import engine_options
-from repro.logic.homomorphisms import has_homomorphism, homomorphisms
+from repro.logic.homomorphisms import (
+    _oracle_homomorphisms,
+    has_homomorphism,
+    homomorphisms,
+)
 
 RELAXED = settings(
     max_examples=60,
@@ -67,8 +70,7 @@ def workloads(draw):
 
 
 def oracle_set(pattern, target, **kw):
-    with engine_options(join_kernel=False):
-        return set(homomorphisms(pattern, target, **kw))
+    return set(_oracle_homomorphisms(pattern, target, **kw))
 
 
 class TestKernelDifferential:
@@ -76,28 +78,23 @@ class TestKernelDifferential:
     @given(workloads())
     def test_identical_binding_sets(self, workload):
         pattern, target, frozen = workload
-        with engine_options(join_kernel=True):
-            kernel = set(homomorphisms(pattern, target, frozen=frozen))
+        kernel = set(homomorphisms(pattern, target, frozen=frozen))
         assert kernel == oracle_set(pattern, target, frozen=frozen)
 
     @RELAXED
     @given(workloads())
     def test_existence_agrees_with_non_emptiness(self, workload):
         pattern, target, frozen = workload
-        with engine_options(join_kernel=True):
-            exists = has_homomorphism(pattern, target, frozen=frozen)
+        exists = has_homomorphism(pattern, target, frozen=frozen)
         assert exists == bool(oracle_set(pattern, target, frozen=frozen))
 
     @RELAXED
     @given(workloads(), st.sets(st.sampled_from(VARIABLES)))
     def test_projection_matches_restricted_oracle(self, workload, project):
         pattern, target, frozen = workload
-        with engine_options(join_kernel=True):
-            kernel = set(
-                homomorphisms(
-                    pattern, target, frozen=frozen, project=sorted(project)
-                )
-            )
+        kernel = set(
+            homomorphisms(pattern, target, frozen=frozen, project=sorted(project))
+        )
         oracle = {
             sub.restrict(project)
             for sub in oracle_set(pattern, target, frozen=frozen)
@@ -109,10 +106,7 @@ class TestKernelDifferential:
     def test_base_bindings_agree(self, workload, value):
         pattern, target, frozen = workload
         base = {VARIABLES[0]: value}
-        with engine_options(join_kernel=True):
-            kernel = set(
-                homomorphisms(pattern, target, frozen=frozen, base=base)
-            )
+        kernel = set(homomorphisms(pattern, target, frozen=frozen, base=base))
         assert kernel == oracle_set(pattern, target, frozen=frozen, base=base)
 
     @RELAXED
@@ -120,6 +114,5 @@ class TestKernelDifferential:
     def test_instance_self_maps_agree(self, instance):
         """Endomorphism sets (the core-computation workload) agree."""
         pattern = list(instance.facts)
-        with engine_options(join_kernel=True):
-            kernel = set(homomorphisms(pattern, instance))
+        kernel = set(homomorphisms(pattern, instance))
         assert kernel == oracle_set(pattern, instance)

@@ -14,6 +14,21 @@ from repro.logic.parser import parse_instance, parse_tgds
 from repro.logic.tgds import Mapping
 
 
+def run_cli(*args, **env):
+    """Run ``python -m repro`` in a fresh process (``env`` overrides)."""
+    env = {**os.environ, **env}
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """A mapping file plus source/target instance files on disk."""
@@ -485,25 +500,8 @@ class TestUnreadableInputs:
             target_path = bad = tmp_path / "missing.instance"
         else:
             target_path = bad = tmp_path
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "recover",
-                "--mapping",
-                str(mapping_path),
-                "--target",
-                str(target_path),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
+        result = run_cli(
+            "recover", "--mapping", str(mapping_path), "--target", str(target_path)
         )
         assert result.returncode == 2
         assert result.stdout == ""
@@ -572,3 +570,19 @@ class TestCheckpointFlags:
         assert snap.exists()
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first_out
+
+
+class TestDeterministicOutput:
+    def test_recover_output_ignores_the_hash_seed(self, tmp_path):
+        """The Lemma-1 family has many interchangeable nulls, so any
+        hash-ordered iteration that leaks into the enumeration reorders
+        the printed recoveries between processes."""
+        mapping_path = tmp_path / "lemma1.mapping"
+        mapping_path.write_text("R(x, y) -> S(x)\nR(u, v) -> T(v)\n")
+        target_path = tmp_path / "lemma1.instance"
+        target_path.write_text("S(a0)\nS(a1)\nT(b0)\nT(b1)\nT(b2)\n")
+        args = ("recover", "--mapping", str(mapping_path), "--target", str(target_path))
+        runs = [run_cli(*args, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert all(run.returncode == 0 for run in runs)
+        assert runs[0].stdout.startswith("24 recovery(ies):")
+        assert runs[0].stdout == runs[1].stdout
