@@ -53,14 +53,15 @@ import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
 from conftest import lemma1_fixture
 
 from repro.core.certain import certain_answer
 from repro.core.inverse_chase import inverse_chase
+from repro.data import instances
 from repro.data.atoms import Atom
 from repro.data.terms import Constant
-from repro.engine import CONFIG, COUNTERS, engine_options
 from repro.engine.cache import clear_registered_caches
 from repro.incremental import RecoveryState
 from repro.logic.parser import parse_query
@@ -148,7 +149,7 @@ def canonical(result):
 # --------------------------------------------------------------------
 # Scaling curves: the interned columnar backend against the object
 # backend on generated large-instance workloads.  The micro-fixtures
-# above never cross CONFIG.columnar_min_facts, so this is the only
+# above never cross COLUMNAR_MIN_FACTS, so this is the only
 # section where the columnar path is actually engaged; it is also the
 # PR gate: at the largest size the columnar backend must beat the
 # object backend by --min-columnar-speedup on inverse-chase or
@@ -176,18 +177,36 @@ def scale_workload(facts: int):
     return mapping, target, query, domain
 
 
+@contextmanager
+def columnar_threshold(min_facts: int):
+    """Patch ``COLUMNAR_MIN_FACTS`` for a block, clearing every
+    registered cache on entry and exit so results computed on one
+    backend are never served to the other."""
+    previous = instances.COLUMNAR_MIN_FACTS
+    instances.COLUMNAR_MIN_FACTS = min_facts
+    clear_registered_caches()
+    try:
+        yield
+    finally:
+        instances.COLUMNAR_MIN_FACTS = previous
+        clear_registered_caches()
+
+
 def measure_scaling_point(facts: int, columnar: bool, repeats: int):
     """Timings for one (size, backend) cell, results kept for parity.
 
-    Spans stay enabled during the timed runs — the overhead is per
-    span, identical for both backends, and buys the per-phase
+    The columnar cell runs with the default size threshold (the path a
+    user gets); the object cell raises the threshold past every
+    instance.  Spans stay enabled during the timed runs — the overhead
+    is per span, identical for both backends, and buys the per-phase
     breakdown without a second (minutes-long) traced pass.
     """
     mapping, target, query, _ = scale_workload(facts)
     inverse_timings, certain_timings = [], []
     recoveries = answers = None
     phases = {}
-    with engine_options(columnar_backend=columnar):
+    threshold = instances.COLUMNAR_MIN_FACTS if columnar else sys.maxsize
+    with columnar_threshold(threshold):
         for _ in range(repeats):
             clear_registered_caches()
             TRACER.reset()
@@ -222,7 +241,7 @@ def run_scaling(sizes, repeats: int, min_speedup: float):
     section = {
         "query": f"path length {SCALE_QUERY_LENGTH}, project=source",
         "degree": SCALE_DEGREE,
-        "columnar_min_facts": CONFIG.columnar_min_facts,
+        "columnar_min_facts": instances.COLUMNAR_MIN_FACTS,
         "points": [],
     }
     failures = []
@@ -528,20 +547,19 @@ def measure_checkpoint_overhead(repeats: int, facts: int = CHECKPOINT_FACTS) -> 
 def measure_degradation() -> dict:
     """Counters of an actually-tripping run: the ladder in action."""
     mapping, target = fixture()
-    COUNTERS.reset()
+    METRICS.reset()
     result = inverse_chase(
         mapping,
         target,
         deadline=Deadline(max_steps=200),
         mode="degrade",
     )
-    snapshot = COUNTERS.snapshot()
     return {
         "status": result.status,
         "rung": result.rung,
         "result_size": len(result),
-        "deadline_hits": snapshot["deadline_hits"],
-        "degradations": snapshot["degradations"],
+        "deadline_hits": METRICS.get("deadline_hits"),
+        "degradations": METRICS.get("degradations"),
     }
 
 
@@ -785,7 +803,6 @@ def main(argv=None) -> int:
             " verify_justification=False"
         ),
         "python": platform.python_version(),
-        "config": {k: v for k, v in CONFIG.as_dict().items()},
         "benchmarks": {},
     }
     failures = []

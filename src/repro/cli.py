@@ -18,6 +18,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -27,10 +28,9 @@ from .core.cores import core_recoveries
 from .core.repair import uncoverable_facts
 from .data.io import load_instance, load_mapping, load_query, save_instance
 from .semantics import get_semantics, semantics_names
-from .engine.config import CONFIG, configure
-from .engine.counters import COUNTERS
+from .engine.counters import snapshot as counter_snapshot
 from .errors import DeadlineExceededError, NotRecoverableError, ReproError
-from .observability import TRACER, format_trace, write_metrics_json
+from .observability import METRICS, TRACER, format_trace, write_metrics_json
 from .reporting import (
     RunReport,
     format_answers,
@@ -54,14 +54,16 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """Argparse type: a strictly positive number (exit code 2 otherwise)."""
+    """Argparse type: a strictly positive, finite number (exit code 2
+    otherwise — ``nan`` or ``inf`` would silently disable a deadline).
+    """
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {value}"
+            f"must be a positive finite number, got {value}"
         )
     return value
 
@@ -79,15 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--stats",
             action="store_true",
             help="print engine counters (work done, cache hits) after the run",
-        )
-        p.add_argument(
-            "--no-columnar",
-            action="store_true",
-            help=(
-                "disable the interned columnar storage backend and keep "
-                "large instances on the object path (differential runs; "
-                "also settable via REPRO_COLUMNAR=0)"
-            ),
         )
         p.add_argument(
             "--trace",
@@ -112,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "recovery-semantics mode (registered: "
                 + ", ".join(semantics_names())
-                + "; default: the engine config's mode, normally 'paper')"
+                + "; default: paper)"
             ),
         )
 
@@ -495,10 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         parser.error("--resume requires --checkpoint PATH")
-    COUNTERS.reset()
-    previous_columnar = CONFIG.columnar_backend
-    if getattr(args, "no_columnar", False):
-        configure(columnar_backend=False)
+    METRICS.reset()
     tracing = bool(getattr(args, "trace", False) or getattr(args, "metrics_json", None))
     if tracing:
         TRACER.reset()
@@ -535,7 +525,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        configure(columnar_backend=previous_columnar)
         elapsed_ms = (time.perf_counter() - started) * 1000
         trace = TRACER.to_dict() if tracing else None
         # One RunReport serves every output surface: --stats renders it
@@ -546,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = RunReport(
             command=args.command,
             elapsed_ms=elapsed_ms,
-            counters=COUNTERS.snapshot(),
+            counters=counter_snapshot(),
             trace=trace,
             **args._report,
         )

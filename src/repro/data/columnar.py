@@ -21,8 +21,9 @@ A :class:`ColumnarStore` is a *sidecar*: the owning
 :class:`~repro.data.instances.Instance` keeps its ``frozenset`` of
 atoms as the source of truth (equality, hashing and pickling are
 untouched), and builds the store on first demand via
-``Instance.columnar_store()`` when ``CONFIG.columnar_backend`` is on
-and the instance is at least ``CONFIG.columnar_min_facts`` facts.
+``Instance.columnar_store()`` once the instance holds at least
+:data:`~repro.data.instances.COLUMNAR_MIN_FACTS` facts.  Instance size
+is the only selector: both backends compute identical results.
 """
 
 from __future__ import annotations

@@ -25,6 +25,12 @@ index work:
   ``without_facts`` on an instance whose indexes exist reuse them
   through :class:`InstanceBuilder`, re-freezing only the touched
   ``(relation, position, term)`` entries and sharing the rest.
+
+Instances of at least :data:`COLUMNAR_MIN_FACTS` facts also offer an
+interned columnar sidecar (:meth:`Instance.columnar_store`) that the
+vectorized join executor runs on; smaller ones stay on the object
+path.  Both backends compute identical results, so size is the only
+selector.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..errors import SchemaError
 from .atoms import Atom
@@ -47,6 +52,11 @@ from .terms import Constant, Null, Term, Variable
 #: instance gets that process's next epoch (caches are per-process).  This replaces identity-based (``id()``) invalidation,
 #: which is unsound across object reuse.
 _EPOCHS = count(1)
+
+#: Instances with fewer facts never build a columnar store: at micro
+#: scale interning and column builds cost more than the per-object
+#: overhead they remove, so the object path serves them.
+COLUMNAR_MIN_FACTS = 1024
 
 
 class InstanceDelta:
@@ -212,16 +222,15 @@ class Instance:
     def columnar_store(self) -> Optional[ColumnarStore]:
         """The columnar sidecar of this instance, or ``None`` when inactive.
 
-        Built on first demand when ``CONFIG.columnar_backend`` is on and
-        the instance holds at least ``CONFIG.columnar_min_facts`` facts;
-        the vectorized join executor (:mod:`repro.planner.vectorized`)
-        takes over whenever a target offers a store.  The ``frozenset``
-        of atoms stays the source of truth — equality, hashing and
-        pickling never consult the store.
+        Built on first demand once the instance holds at least
+        :data:`COLUMNAR_MIN_FACTS` facts; the vectorized join executor
+        (:mod:`repro.planner.vectorized`) takes over whenever a target
+        offers a store.  Both backends compute identical results, so
+        size alone picks one.  The ``frozenset`` of atoms stays the
+        source of truth — equality, hashing and pickling never consult
+        the store.
         """
-        if not CONFIG.columnar_backend:
-            return None
-        if len(self._facts) < CONFIG.columnar_min_facts:
+        if len(self._facts) < COLUMNAR_MIN_FACTS:
             return None
         store = self._store
         if store is None:

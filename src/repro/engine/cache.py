@@ -37,11 +37,11 @@ set with :func:`cache_partition`::
 Code that never enters a partition uses the default partition (``""``)
 and behaves byte-for-byte like the old shared cache — the library and
 CLI paths are unchanged.  Per-partition capacity budgets are pinned
-with :func:`configure_partition` (a pinned partition ignores global
-``resize`` calls, so resizing the shared cache cannot lift a tenant's
-budget), and :func:`drop_cache_partition` releases a tenant's state
-wholesale.  All partitions of a cache share its metric keys, so
-process-wide counter totals aggregate across tenants unchanged.
+with :func:`configure_partition` (applied to the partition on every
+partitioned cache, now and when it first materializes), and
+:func:`drop_cache_partition` releases a tenant's state wholesale.
+All partitions of a cache share its metric keys, so process-wide
+counter totals aggregate across tenants unchanged.
 """
 
 from __future__ import annotations
@@ -291,10 +291,9 @@ def configure_partition(name: str, maxsize: int) -> None:
     """Pin a capacity budget for partition ``name`` on every
     partitioned cache.
 
-    A pinned partition keeps ``maxsize`` entries per cache regardless
-    of later global ``resize`` calls — the mechanism the service layer
-    uses to give each tenant a fixed cache budget that a config-driven
-    resize cannot silently lift.
+    A pinned partition keeps at most ``maxsize`` entries per cache,
+    whatever the shared default capacity — the mechanism the service
+    layer uses to give each tenant a fixed cache budget.
     """
     if not name:
         raise ValueError("the default partition's size is the cache maxsize")
@@ -391,20 +390,6 @@ class PartitionedLRUCache:
     @property
     def maxsize(self) -> int:
         return self._part().maxsize
-
-    def resize(self, maxsize: int) -> None:
-        """Resize the active partition — unless its budget is pinned.
-
-        A tenant partition with a pinned budget ignores resizes, so
-        tuning the shared capacity never grows or shrinks a tenant's
-        allocation.
-        """
-        partition = current_partition()
-        if partition and partition_budget(partition) is not None:
-            return
-        if not partition:
-            self._default_maxsize = maxsize
-        self._part().resize(maxsize)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], V]) -> V:
         return self._part().get_or_compute(key, compute)

@@ -1,8 +1,8 @@
 """Unified observability: the metrics registry and span tracer.
 
 This package is the single telemetry surface for the engine.  All
-counters flow through :data:`METRICS` (``repro.engine.counters`` and
-the cache statistics are facades over it), and all per-phase timing
+counters flow through :data:`METRICS` (engine counters and cache
+statistics alike), and all per-phase timing
 flows through :data:`TRACER`.  Everything here is stdlib-only so the
 lowest layers (``repro.data``, ``repro.logic``) can depend on it
 without cycles.

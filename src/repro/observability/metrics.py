@@ -1,15 +1,15 @@
 """The metrics registry: one sink for every engine counter.
 
 :class:`MetricsRegistry` replaces the three ad-hoc statistic sinks that
-grew with the engine (the ``EngineCounters`` slot object, the per-cache
-hit/miss attributes, the planner counters) with a single named-counter
+grew with the engine (a process-global counter slot object, the
+per-cache hit/miss attributes, the planner counters) with a single named-counter
 store behind a snapshot / merge / reset API:
 
 * **increments are thread-safe and cheap** — each thread accumulates
   into its own private cell (a plain dict, no lock on the hot path);
   totals are summed across cells on :meth:`snapshot` / :meth:`get`.
-  The old ``COUNTERS.name += 1`` pattern lost updates when service
-  request threads raced on the read-modify-write; ``inc`` cannot.
+  A plain ``counter += 1`` on shared state loses updates when service
+  request threads race on the read-modify-write; ``inc`` cannot.
 * **deltas are picklable** — :meth:`delta_since` diffs a snapshot into
   a plain ``{name: int}`` dict, and :meth:`merge` folds such a delta
   back in.  Checkpoint snapshots carry the run's counter delta so a
@@ -17,7 +17,7 @@ store behind a snapshot / merge / reset API:
 
 Counter names are free-form strings; the engine's known names (and the
 registered caches' ``<name>_cache_hits`` / ``_misses``) get zero
-defaults in :meth:`repro.engine.counters.EngineCounters.snapshot`, so
+defaults in :func:`repro.engine.counters.snapshot`, so
 reports stay shape-stable even when nothing moved.
 
 This module must stay import-free of the rest of ``repro``: the data

@@ -28,12 +28,11 @@ A cooperative :class:`~repro.resilience.Deadline` is charged one step
 per candidate fact visited, batched like the backtracking matcher so a
 never-tripping deadline costs one integer increment per visit.
 
-When the target offers a columnar store
-(``CONFIG.columnar_backend`` on and the instance at least
-``columnar_min_facts`` facts), both entry points hand the whole call to
-the vectorized executor (:mod:`repro.planner.vectorized`) instead; the
-object path below remains the small-instance default and the
-differential oracle.
+When the target offers a columnar store (an instance of at least
+:data:`~repro.data.instances.COLUMNAR_MIN_FACTS` facts), both entry
+points hand the whole call to the vectorized executor
+(:mod:`repro.planner.vectorized`) instead; the object path below
+remains the small-instance default and the differential oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..data.atoms import Atom
 from ..data.instances import Instance
 from ..data.substitutions import Substitution
 from ..data.terms import Term
-from ..engine.config import CONFIG
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
 from .plan import Component, Plan, plan_for
@@ -163,8 +161,7 @@ def kernel_has_homomorphism(
         return vector_has_homomorphism(
             pattern, target, store, base=base, frozen=frozen, deadline=deadline
         )
-    if CONFIG.columnar_backend:
-        METRICS.inc("planner_vector_fallbacks")
+    METRICS.inc("planner_vector_fallbacks")
     plan, _, bound_values = _prepare(pattern, target, base or {}, frozen)
     if not plan.satisfiable or not _passes_checks(plan, target, bound_values):
         return False
@@ -224,8 +221,7 @@ def kernel_homomorphisms(
             project=project,
         )
         return
-    if CONFIG.columnar_backend:
-        METRICS.inc("planner_vector_fallbacks")
+    METRICS.inc("planner_vector_fallbacks")
     plan, var_terms, bound_values = _prepare(pattern, target, base_map, frozen)
     if not plan.satisfiable or not _passes_checks(plan, target, bound_values):
         return

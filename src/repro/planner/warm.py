@@ -83,9 +83,9 @@ def warm_cache_token() -> tuple:
 def warm_plan_caches(keys: Optional[dict], target: Instance) -> int:
     """Recompile recorded plan keys against the live target; returns count.
 
-    Vector keys are only compiled when the columnar backend is active
-    for this target (config may differ from the run that saved the
-    snapshot); object keys always compile.  Failures are swallowed —
+    Vector keys are only compiled when this target offers a columnar
+    store (it may be below the size threshold); object keys always
+    compile.  Failures are swallowed —
     a stale key costs nothing but its compile attempt.
     """
     if not keys:

@@ -66,7 +66,7 @@ def format_instances(instances: Iterable[Instance], limit: int = 10) -> str:
 def format_counters(snapshot: dict) -> str:
     """Render an engine-counter snapshot as an aligned table.
 
-    ``snapshot`` is what :meth:`repro.engine.counters.EngineCounters.snapshot`
+    ``snapshot`` is what :func:`repro.engine.counters.snapshot`
     returns: raw counters plus the hit/miss totals of every registered
     LRU cache.  Keys are sorted so the output is deterministic; the
     table backs the CLI's ``--stats`` flag and the benchmark reports.

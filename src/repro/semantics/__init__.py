@@ -4,9 +4,9 @@ The package decouples *which* semantics the stack answers under from
 *how* the answer is computed: :class:`~repro.semantics.base.SemanticsStrategy`
 names the four policy axes (solution space, justification test,
 certainty evaluation, repair notion), the registry resolves modes by
-name, and every surface — ``EngineConfig.semantics``, the CLI
-``--semantics`` flag, the service's per-request ``semantics`` field —
-routes through :func:`get_semantics`.
+name, and every surface — the CLI ``--semantics`` flag, the
+service's per-request ``semantics`` field — routes through
+:func:`get_semantics`.
 
 Two modes ship built in:
 

@@ -1,10 +1,10 @@
 """The semantics registry: named, pluggable recovery semantics.
 
 The registry is the single resolution point for every surface that
-names a mode — ``EngineConfig.semantics``, the CLI ``--semantics``
-flag and the service's per-request ``semantics`` field all funnel
-through :func:`get_semantics`, so an unknown name fails identically
-everywhere with the registered alternatives listed.
+names a mode — the CLI ``--semantics`` flag and the service's
+per-request ``semantics`` field both funnel through
+:func:`get_semantics`, so an unknown name fails identically everywhere
+with the registered alternatives listed.
 
 Third-party strategies register with :func:`register_semantics`; the
 two built-in modes (``paper``, ``exchange_repairs``) are registered by
@@ -56,15 +56,12 @@ def register_semantics(
 
 
 def get_semantics(name: Optional[str] = None) -> SemanticsStrategy:
-    """Resolve a mode by name (default: the ``CONFIG.semantics`` mode).
+    """Resolve a mode by name (default: ``"paper"``).
 
-    :raises UnknownSemanticsError: for names no strategy answers to —
-        including a misconfigured ``CONFIG.semantics``.
+    :raises UnknownSemanticsError: for names no strategy answers to.
     """
     if name is None:
-        from ..engine.config import CONFIG
-
-        name = CONFIG.semantics
+        name = "paper"
     with _LOCK:
         strategy = _STRATEGIES.get(name)  # type: ignore[arg-type]
         known = tuple(sorted(_STRATEGIES))

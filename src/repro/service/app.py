@@ -45,7 +45,7 @@ from ..engine.cache import (
     configure_partition,
     partitioned_cache_stats,
 )
-from ..engine.counters import COUNTERS
+from ..engine.counters import snapshot as counter_snapshot
 from ..errors import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -161,9 +161,9 @@ class RecoveryService:
 
     def _enter_tenant(self, tenant: str) -> str:
         """Pin the tenant's cache budget on first contact; return the
-        partition name.  The pin makes the budget immune to global
-        ``CONFIG``-driven resizes — a tenant's warm-state footprint is
-        a service-level contract, not an engine tunable."""
+        partition name.  The pin fixes the tenant's capacity on every
+        partitioned cache, independent of the shared default — a
+        tenant's warm-state footprint is a service-level contract."""
         partition = tenant_partition(tenant)
         with self._tenant_lock:
             if tenant not in self._known_tenants:
@@ -812,7 +812,7 @@ class RecoveryService:
 
     def _metrics(self) -> Response:
         doc = metrics_document(
-            counters=COUNTERS.snapshot(),
+            counters=counter_snapshot(),
             service={
                 "uptime_s": round(time.monotonic() - self.started_at, 3),
                 "tenants": self.registry.tenants(),
@@ -857,12 +857,26 @@ class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
 
     def _respond(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        service: RecoveryService = self.server.service  # type: ignore[attr-defined]
-        status, payload, extra = service.dispatch(
-            self.command, self.path, raw, dict(self.headers.items())
-        )
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be delimited: answer without reading it
+            # (``rfile.read(-1)`` would block until the client hangs
+            # up) and close the connection, whose stream is now unframed.
+            status, payload, extra = (
+                400,
+                error_payload("bad-request", f"invalid Content-Length {header!r}"),
+                {"Connection": "close"},
+            )
+        else:
+            raw = self.rfile.read(length) if length else b""
+            service: RecoveryService = self.server.service  # type: ignore[attr-defined]
+            status, payload, extra = service.dispatch(
+                self.command, self.path, raw, dict(self.headers.items())
+            )
         body = json.dumps(payload, sort_keys=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from typing import Any, Iterable, Optional
 
@@ -47,13 +48,24 @@ class WireError(ReproError):
         self.http_status = http_status
 
 
+def _reject_constant(token: str) -> Any:
+    raise WireError(f"request body is not valid JSON: {token} is not a number")
+
+
 def parse_json_body(raw: bytes) -> dict[str, Any]:
-    """Decode a request body as a JSON object (``{}`` for empty)."""
+    """Decode a request body as a JSON object (``{}`` for empty).
+
+    The non-standard tokens ``NaN``, ``Infinity`` and ``-Infinity``
+    that :func:`json.loads` accepts by default are refused: a ``NaN``
+    deadline would pass every range check and silently mean "none".
+    ``ValueError`` also covers bad UTF-8 and integers past the
+    interpreter's digit limit.
+    """
     if not raw:
         return {}
     try:
-        body = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        body = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except ValueError as error:
         raise WireError(f"request body is not valid JSON: {error}") from None
     if not isinstance(body, dict):
         raise WireError("request body must be a JSON object")
@@ -114,9 +126,13 @@ def get_number(
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WireError(f"field {field!r} must be a number")
-    if value <= 0:
-        raise WireError(f"field {field!r} must be positive, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
+        raise WireError(f"field {field!r} must be positive and finite, got {number}")
+    return number
 
 
 def get_bool(body: dict[str, Any], field: str, default: bool = False) -> bool:

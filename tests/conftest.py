@@ -1,5 +1,9 @@
 """Shared fixtures: the paper's scenarios and small helper builders.
 
+:func:`storage_backend` pins one storage backend for a block, so
+differential suites run the same computation on the object path (the
+oracle) and on the columnar path.
+
 Also a fallback for the ``timeout`` ini option: pytest-timeout is the
 preferred enforcer (declared in the ``test`` extra), but this
 container-friendly shim keeps the per-test cap working when the plugin
@@ -11,14 +15,42 @@ from __future__ import annotations
 
 import importlib.util
 import signal
+import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
+from repro.data import instances
+from repro.engine.cache import clear_registered_caches
 from repro.logic.parser import parse_instance, parse_tgds
 from repro.logic.tgds import Mapping
 from repro.workloads import scenario
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
+
+#: ``COLUMNAR_MIN_FACTS`` value that pins each storage backend.
+_BACKEND_THRESHOLDS = {"object": sys.maxsize, "columnar": 0}
+
+
+@contextmanager
+def storage_backend(backend: str) -> Iterator[None]:
+    """Run the block on one storage backend, whatever the instance sizes.
+
+    ``"object"`` keeps every instance on the object path; ``"columnar"``
+    gives every instance a columnar store.  Registered caches are
+    cleared on entry and exit, so a hom-set or plan computed on one
+    backend is never served to the other.
+    """
+    threshold = _BACKEND_THRESHOLDS[backend]
+    previous = instances.COLUMNAR_MIN_FACTS
+    instances.COLUMNAR_MIN_FACTS = threshold
+    clear_registered_caches()
+    try:
+        yield
+    finally:
+        instances.COLUMNAR_MIN_FACTS = previous
+        clear_registered_caches()
 
 
 def pytest_addoption(parser):

@@ -17,11 +17,11 @@ import pytest
 
 from repro.core.certain import certain_answer
 from repro.core.inverse_chase import inverse_chase
-from repro.engine import CONFIG, engine_options
-from repro.engine.cache import clear_registered_caches
+from repro.data.instances import COLUMNAR_MIN_FACTS
 from repro.logic.parser import parse_instance, parse_query, parse_tgds
 from repro.logic.tgds import Mapping
 from repro.observability import METRICS
+from tests.conftest import storage_backend
 
 PINNED = (
     "coverings_evaluated",
@@ -68,17 +68,16 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["object", "columnar"])
+@pytest.mark.parametrize("backend", ["object", "columnar"])
 @pytest.mark.parametrize("key", sorted(EXPECTED), ids="-".join)
-def test_work_counters_are_pinned(key, columnar):
+def test_work_counters_are_pinned(key, backend):
     name, operation = key
     # Rebuilt per run: lazy indexes and columnar stores live on the
     # instance objects, so a reused fixture would skip their builds.
     mapping, target, query = FIXTURES[name]()
     if name == "ef_graph":
-        assert len(target) > CONFIG.columnar_min_facts
-    with engine_options(columnar_backend=columnar):
-        clear_registered_caches()
+        assert len(target) > COLUMNAR_MIN_FACTS
+    with storage_backend(backend):
         METRICS.reset()
         if operation == "inverse_chase":
             result = inverse_chase(mapping, target)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.data.atoms import Atom
 from repro.data.columnar import ColumnarStore
-from repro.data.instances import Instance
+from repro.data.instances import COLUMNAR_MIN_FACTS, Instance
 from repro.data.interning import (
     TAG_CONSTANT,
     TAG_NULL,
@@ -16,7 +16,7 @@ from repro.data.interning import (
     reset_table,
 )
 from repro.data.terms import Constant, Null, Variable
-from repro.engine.config import engine_options
+from tests.conftest import storage_backend
 
 
 class TestTermTable:
@@ -153,9 +153,13 @@ class TestColumnarStore:
 
 class TestInstanceSidecar:
     FACTS = [Atom("R", [Constant(f"a{i}"), Constant(f"b{i}")]) for i in range(8)]
+    LARGE = [
+        Atom("R", [Constant(f"a{i}"), Constant("b")])
+        for i in range(COLUMNAR_MIN_FACTS)
+    ]
 
     def test_store_built_on_demand_and_cached(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             instance = Instance(self.FACTS)
             store = instance.columnar_store()
             assert store is not None
@@ -163,15 +167,16 @@ class TestInstanceSidecar:
             assert instance.columnar_store() is store
 
     def test_min_facts_gate(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=100):
-            assert Instance(self.FACTS).columnar_store() is None
+        assert len(self.FACTS) < COLUMNAR_MIN_FACTS
+        assert Instance(self.FACTS).columnar_store() is None
+        assert Instance(self.LARGE).columnar_store() is not None
 
     def test_backend_toggle_gate(self):
-        with engine_options(columnar_backend=False, columnar_min_facts=0):
-            assert Instance(self.FACTS).columnar_store() is None
+        with storage_backend("object"):
+            assert Instance(self.LARGE).columnar_store() is None
 
     def test_instance_pickle_unaffected(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             instance = Instance(self.FACTS)
             instance.columnar_store()
             clone = pickle.loads(pickle.dumps(instance))
@@ -180,7 +185,7 @@ class TestInstanceSidecar:
             assert clone.columnar_store() is not None
 
     def test_store_agrees_with_facts(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             instance = Instance(self.FACTS)
             store = instance.columnar_store()
             decoded = {

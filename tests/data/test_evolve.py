@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import engine_options, parse_instance
+from repro import parse_instance
 from repro.data.atoms import Atom
 from repro.data.columnar import ColumnarStore
 from repro.data.terms import Constant, Variable
 from repro.errors import SchemaError
+from tests.conftest import storage_backend
 
 
 def fact(name: str, *args: str) -> Atom:
@@ -81,7 +82,7 @@ class TestIndexPatching:
 
 class TestColumnarEvolution:
     def test_evolved_store_is_bit_identical_to_cold_build(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             parent = parse_instance("E(a, b), E(b, c), E(c, a), G(a), G(b)")
             assert parent.columnar_store() is not None
             child = parent.evolve(
@@ -95,7 +96,7 @@ class TestColumnarEvolution:
                 assert rel.columns == cold._relations[key].columns
 
     def test_untouched_relations_share_column_objects(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             parent = parse_instance("E(a, b), G(a)")
             before = parent.columnar_store()
             child = parent.evolve(add=[fact("G", "b")])
@@ -104,7 +105,7 @@ class TestColumnarEvolution:
             assert after._relations[("G", 1)] is not before._relations[("G", 1)]
 
     def test_delta_emptying_a_relation_drops_it(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             parent = parse_instance("E(a, b), G(a)")
             parent.columnar_store()
             child = parent.evolve(remove=[fact("G", "a")])

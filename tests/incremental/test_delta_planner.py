@@ -14,10 +14,9 @@ import random
 
 import pytest
 
-from repro import engine_options, parse_instance
+from repro import parse_instance
 from repro.data.atoms import Atom
 from repro.data.terms import Constant, Variable
-from repro.engine import clear_registered_caches
 from repro.logic.homomorphisms import has_homomorphism, homomorphisms
 from repro.planner.delta import (
     carry_forward_plans,
@@ -25,6 +24,7 @@ from repro.planner.delta import (
     seeded_has_homomorphism,
 )
 from repro.planner.plan import _PLAN_CACHE
+from tests.conftest import storage_backend
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -138,8 +138,7 @@ class TestSeededExistence:
 
 class TestPlanCarryForward:
     def test_relation_disjoint_plans_are_carried(self):
-        with engine_options(columnar_backend=False):
-            clear_registered_caches()
+        with storage_backend("object"):
             parent = parse_instance("E(a, b), E(b, c), G(a)")
             pattern = [Atom("E", [X, Y]), Atom("E", [Y, Z])]
             list(homomorphisms(pattern, parent))
@@ -158,18 +157,15 @@ class TestPlanCarryForward:
             # A delta touching E invalidates the E-plan's pools.
             touched = parent.evolve(add=[fact("E", "c", "d")])
             assert carry_forward_plans(touched) == 0
-            clear_registered_caches()
 
     def test_instance_without_lineage_carries_nothing(self):
         assert carry_forward_plans(parse_instance("E(a, b)")) == 0
 
     def test_carry_forward_is_idempotent(self):
-        with engine_options(columnar_backend=False):
-            clear_registered_caches()
+        with storage_backend("object"):
             parent = parse_instance("E(a, b), G(a)")
             list(homomorphisms([Atom("E", [X, Y])], parent))
             child = parent.evolve(add=[fact("G", "z")])
             first = carry_forward_plans(child)
             assert first >= 1
             assert carry_forward_plans(child) == first
-            clear_registered_caches()

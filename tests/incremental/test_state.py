@@ -22,7 +22,6 @@ import pytest
 from repro import (
     Mapping,
     certain_answer,
-    engine_options,
     hom_set,
     inverse_chase,
     parse_instance,
@@ -35,17 +34,13 @@ from repro.engine import clear_registered_caches
 from repro.errors import NotRecoverableError
 from repro.incremental import RecoveryState
 from repro.observability.metrics import METRICS
+from tests.conftest import storage_backend
 
 BULK = "E(x, y) -> F(x, y)"
 AMBIGUOUS = "P(x) -> F(x, x)\nE(x, y) -> F(x, y)"
 EXISTENTIAL = "S(x) -> T(x, y)"
 
-BACKENDS = [
-    pytest.param({"columnar_backend": False}, id="object"),
-    pytest.param(
-        {"columnar_backend": True, "columnar_min_facts": 0}, id="columnar"
-    ),
-]
+BACKENDS = ("object", "columnar")
 
 
 def mapping_of(text: str) -> Mapping:
@@ -101,9 +96,9 @@ class TestChurnDifferential:
     def pool(self):
         return [fact("F", f"c{i}", f"c{j}") for i in range(5) for j in range(5)]
 
-    @pytest.mark.parametrize("options", BACKENDS)
-    def test_insert_churn(self, options):
-        with engine_options(**options):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_insert_churn(self, backend):
+        with storage_backend(backend):
             rng = random.Random(11)
             pool = self.pool()
             state = RecoveryState(mapping_of(BULK), parse_instance("F(c0, c1)"))
@@ -112,9 +107,9 @@ class TestChurnDifferential:
                 state.apply_delta(add=add)
                 assert_matches_cold(state, self.QUERIES)
 
-    @pytest.mark.parametrize("options", BACKENDS)
-    def test_delete_churn(self, options):
-        with engine_options(**options):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_delete_churn(self, backend):
+        with storage_backend(backend):
             rng = random.Random(12)
             pool = self.pool()
             state = RecoveryState(
@@ -127,9 +122,9 @@ class TestChurnDifferential:
                 state.apply_delta(remove=remove)
                 assert_matches_cold(state, self.QUERIES)
 
-    @pytest.mark.parametrize("options", BACKENDS)
-    def test_mixed_churn(self, options):
-        with engine_options(**options):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mixed_churn(self, backend):
+        with storage_backend(backend):
             rng = random.Random(13)
             pool = self.pool()
             state = RecoveryState(

@@ -65,7 +65,7 @@ class TestRegistryBasics:
 
 class TestRegistryThreading:
     def test_concurrent_increments_are_never_lost(self):
-        # The old ``COUNTERS.name += 1`` read-modify-write dropped
+        # A plain ``counter += 1`` read-modify-write on shared state drops
         # updates under racing threads; ``inc`` must not.
         reg = MetricsRegistry()
         threads_n, per_thread = 8, 5000

@@ -16,16 +16,16 @@ from repro.data.atoms import Atom
 from repro.data.instances import Instance
 from repro.data.terms import Constant, Null, Variable
 from repro.engine.cache import clear_registered_caches
-from repro.engine.config import CONFIG, engine_options
-from repro.engine.counters import COUNTERS
 from repro.errors import DeadlineExceededError
 from repro.logic.homomorphisms import (
     _oracle_homomorphisms,
     has_homomorphism,
     homomorphisms,
 )
+from repro.observability import METRICS
 from repro.planner.plan import canonicalize, plan_for
 from repro.resilience import Deadline
+from tests.conftest import storage_backend
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -90,20 +90,20 @@ class TestPlanCache:
     def test_renamed_pattern_reuses_the_plan(self):
         target = Instance([R(a, b), R(b, c)])
         clear_registered_caches()
-        before = COUNTERS.plans_compiled
+        before = METRICS.get("plans_compiled")
         plan_for([R(x, y), R(y, z)], target)
         plan_for([R(u, v), R(v, w)], target)
-        assert COUNTERS.plans_compiled == before + 1
+        assert METRICS.get("plans_compiled") == before + 1
 
     def test_equal_instance_with_new_epoch_recompiles(self):
         facts = [R(a, b)]
         first, second = Instance(facts), Instance(facts)
         assert first == second and first.epoch != second.epoch
         clear_registered_caches()
-        before = COUNTERS.plans_compiled
+        before = METRICS.get("plans_compiled")
         plan_for([R(x, y)], first)
         plan_for([R(x, y)], second)
-        assert COUNTERS.plans_compiled == before + 2
+        assert METRICS.get("plans_compiled") == before + 2
 
 
 class TestInstanceEpoch:
@@ -197,10 +197,10 @@ class TestProjection:
         assert len(projected) == len(set(projected)) == 2
 
     def test_empty_projection_is_existence_like(self):
-        before = COUNTERS.plan_existence_shortcircuits
+        before = METRICS.get("plan_existence_shortcircuits")
         projected = kernel_set([R(x, y), S(z)], self.TARGET, project=[])
         assert len(projected) == 1
-        assert COUNTERS.plan_existence_shortcircuits > before
+        assert METRICS.get("plan_existence_shortcircuits") > before
 
     def test_fallback_projection_agrees(self):
         pattern = [R(x, y), S(x)]
@@ -232,15 +232,13 @@ class TestCounters:
     def test_component_and_compile_counters_move(self):
         target = Instance([R(a, b), S(c)])
         clear_registered_caches()
-        compiled = COUNTERS.plans_compiled
-        evaluated = COUNTERS.plan_components_evaluated
+        compiled = METRICS.get("plans_compiled")
+        evaluated = METRICS.get("plan_components_evaluated")
         list(homomorphisms([R(x, y), S(z)], target))
-        assert COUNTERS.plans_compiled == compiled + 1
-        assert COUNTERS.plan_components_evaluated >= evaluated + 2
+        assert METRICS.get("plans_compiled") == compiled + 1
+        assert METRICS.get("plan_components_evaluated") >= evaluated + 2
 
     def test_plan_cache_stats_reach_metrics(self):
-        from repro.observability import METRICS
-
         target = Instance([R(a, b)])
         clear_registered_caches()
         base = METRICS.snapshot()
@@ -256,9 +254,9 @@ class TestConfigToggle:
         """The join kernel serves every search: a call compiles a plan."""
         target = Instance([R(a, b)])
         clear_registered_caches()
-        before = COUNTERS.plans_compiled
+        before = METRICS.get("plans_compiled")
         list(homomorphisms([R(x, y)], target))
-        assert COUNTERS.plans_compiled == before + 1
+        assert METRICS.get("plans_compiled") == before + 1
 
     def test_toggling_clears_plan_cache(self):
         """Switching the storage backend never serves a stale plan."""
@@ -266,5 +264,5 @@ class TestConfigToggle:
         plan_for([R(x, y)], target)
         from repro.planner.plan import _PLAN_CACHE
 
-        with engine_options(columnar_backend=not CONFIG.columnar_backend):
+        with storage_backend("columnar"):
             assert len(_PLAN_CACHE) == 0

@@ -14,10 +14,10 @@ import pytest
 from repro.data.atoms import Atom
 from repro.data.instances import Instance
 from repro.data.terms import Constant, Null, Variable
-from repro.engine.config import engine_options
 from repro.logic.homomorphisms import has_homomorphism, homomorphisms
 from repro.logic.queries import ConjunctiveQuery
 from repro.planner import vector_query_tuples
+from tests.conftest import storage_backend
 
 a, b, c, d = (Constant(x) for x in "abcd")
 n1, n2 = Null("N1"), Null("N2")
@@ -39,9 +39,9 @@ EDGES = Instance(
 
 def both(fn):
     """Run ``fn`` under each backend and return (columnar, object)."""
-    with engine_options(columnar_backend=True, columnar_min_facts=0):
+    with storage_backend("columnar"):
         vectorized = fn()
-    with engine_options(columnar_backend=False):
+    with storage_backend("object"):
         oracle = fn()
     return vectorized, oracle
 
@@ -155,18 +155,18 @@ class TestQueryTuples:
         assert vectorized == oracle
 
     def test_direct_api(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             store = EDGES.columnar_store()
             got = vector_query_tuples(
                 [Atom("R", [x, y]), Atom("R", [y, z])], EDGES, store, (x, z)
             )
-        with engine_options(columnar_backend=False):
+        with storage_backend("object"):
             query = ConjunctiveQuery([x, z], [Atom("R", [x, y]), Atom("R", [y, z])])
             want = query.evaluate(EDGES)
         assert got == want
 
     def test_unsatisfiable_relation_returns_empty(self):
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             store = EDGES.columnar_store()
             got = vector_query_tuples(
                 [Atom("Missing", [x, y])], EDGES, store, (x,)

@@ -13,11 +13,11 @@ import pytest
 from repro.data.atoms import Atom
 from repro.data.instances import Instance
 from repro.data.terms import Constant, Variable
-from repro.engine.config import engine_options
 from repro.errors import DeadlineExceededError
 from repro.logic.homomorphisms import has_homomorphism, homomorphisms
 from repro.planner import vector_query_tuples
 from repro.resilience import Deadline
+from tests.conftest import storage_backend
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -31,16 +31,12 @@ def chain(n):
     return Instance(facts)
 
 
-def columnar():
-    return engine_options(columnar_backend=True, columnar_min_facts=0)
-
-
 class TestStepCharging:
     def test_small_pattern_still_charges_steps(self):
         # 4 R rows: far below one 32-tick batch.  Before the flush fix
         # the whole evaluation charged nothing.
         deadline = Deadline()
-        with columnar():
+        with storage_backend("columnar"):
             results = list(
                 homomorphisms([Atom("R", [x, y])], chain(4), deadline=deadline)
             )
@@ -49,7 +45,7 @@ class TestStepCharging:
 
     def test_existence_path_charges_steps(self):
         deadline = Deadline()
-        with columnar():
+        with storage_backend("columnar"):
             assert has_homomorphism(
                 [Atom("R", [x, y]), Atom("R", [y, z])],
                 chain(4),
@@ -58,7 +54,7 @@ class TestStepCharging:
         assert deadline.steps > 0
 
     def test_step_budget_trips_join(self):
-        with columnar(), pytest.raises(DeadlineExceededError):
+        with storage_backend("columnar"), pytest.raises(DeadlineExceededError):
             list(
                 homomorphisms(
                     [Atom("R", [x, y]), Atom("R", [y, z])],
@@ -73,11 +69,11 @@ class TestStepCharging:
         target = chain(40)
         pattern = [Atom("R", [x, y]), Atom("S", [z])]
         generous = Deadline(max_steps=100_000)
-        with columnar():
+        with storage_backend("columnar"):
             count = len(list(homomorphisms(pattern, target, deadline=generous)))
         assert count == 40 * 40
         assert generous.steps >= count
-        with columnar(), pytest.raises(DeadlineExceededError):
+        with storage_backend("columnar"), pytest.raises(DeadlineExceededError):
             list(
                 homomorphisms(
                     pattern, target, deadline=Deadline(max_steps=200)
@@ -87,7 +83,7 @@ class TestStepCharging:
     def test_query_tuples_charges_steps(self):
         target = chain(30)
         deadline = Deadline()
-        with columnar():
+        with storage_backend("columnar"):
             store = target.columnar_store()
             answers = vector_query_tuples(
                 [Atom("R", [x, y]), Atom("S", [z])],
@@ -102,7 +98,7 @@ class TestStepCharging:
 
 class TestMemoryCharging:
     def test_memory_budget_trips_on_materialization(self):
-        with columnar(), pytest.raises(DeadlineExceededError) as err:
+        with storage_backend("columnar"), pytest.raises(DeadlineExceededError) as err:
             list(
                 homomorphisms(
                     [Atom("R", [x, y]), Atom("R", [y, z])],
@@ -113,7 +109,7 @@ class TestMemoryCharging:
         assert "memory estimate" in str(err.value)
 
     def test_generous_memory_budget_passes(self):
-        with columnar():
+        with storage_backend("columnar"):
             results = list(
                 homomorphisms(
                     [Atom("R", [x, y]), Atom("R", [y, z])],
@@ -128,7 +124,7 @@ class TestParityUnderDeadline:
     def test_results_identical_with_and_without_deadline(self):
         target = chain(25)
         pattern = [Atom("R", [x, y]), Atom("R", [y, z])]
-        with columnar():
+        with storage_backend("columnar"):
             free = sorted(repr(h) for h in homomorphisms(pattern, target))
             bounded = sorted(
                 repr(h)

@@ -3,8 +3,8 @@
 The columnar store plus vectorized executor must be observationally
 identical to the object path — same hom-sets, same coverings, same
 recoveries, same certain answers — on random exchanged workloads.
-``columnar_min_facts`` is forced to 0 so even the tiny hypothesis
-instances exercise the vectorized path.
+The ``"columnar"`` backend gives every instance a store, so even the
+tiny hypothesis instances exercise the vectorized path.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.hom_sets import hom_set
 from repro.core.inverse_chase import inverse_chase
 from repro.data.atoms import Atom
 from repro.data.terms import Variable
-from repro.engine.config import engine_options
 from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -27,6 +26,7 @@ from repro.errors import (
 )
 from repro.logic.queries import ConjunctiveQuery
 from repro.resilience import Deadline
+from tests.conftest import storage_backend
 
 from .strategies import exchanges
 
@@ -46,9 +46,9 @@ _MAX_STEPS = 2_000_000
 
 def _each_backend(fn):
     """Evaluate ``fn`` with the vectorized path on, then off."""
-    with engine_options(columnar_backend=True, columnar_min_facts=0):
+    with storage_backend("columnar"):
         vectorized = fn()
-    with engine_options(columnar_backend=False):
+    with storage_backend("object"):
         oracle = fn()
     return vectorized, oracle
 
@@ -164,7 +164,7 @@ class TestBackendEquivalence:
         """Pickling an instance whose sidecar exists must round-trip
         (checkpoint snapshots pickle instances)."""
         _, _, target = exchange
-        with engine_options(columnar_backend=True, columnar_min_facts=0):
+        with storage_backend("columnar"):
             target.columnar_store()
             clone = pickle.loads(pickle.dumps(target))
             assert clone == target

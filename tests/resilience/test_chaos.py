@@ -12,7 +12,6 @@ suite timeout.
 import pytest
 
 from repro.core.inverse_chase import inverse_chase
-from repro.engine.config import engine_options
 from repro.errors import DeadlineExceededError
 from repro.observability.metrics import METRICS
 from repro.resilience import (
@@ -24,6 +23,7 @@ from repro.resilience import (
 )
 from repro.resilience.chaos import ChaoticCheckpointManager, InjectedCrash
 from repro.workloads.generators import scaled_recovery_workload
+from tests.conftest import storage_backend
 
 SEMANTIC = (
     "coverings_evaluated",
@@ -33,10 +33,7 @@ SEMANTIC = (
 )
 WORK = SEMANTIC + ("covers_enumerated",)
 
-BACKENDS = {
-    "object": dict(columnar_backend=False),
-    "columnar": dict(columnar_backend=True, columnar_min_facts=1),
-}
+BACKENDS = ("columnar", "object")
 
 SEEDS_PER_BATCH = 25
 BATCHES = range(4)  # 4 batches x 25 seeds x 2 backends = 200 schedules
@@ -52,8 +49,8 @@ def references(workload):
     """Uninterrupted result + work-counter delta, per backend."""
     mapping, target = workload
     refs = {}
-    for name, options in BACKENDS.items():
-        with engine_options(**options):
+    for name in BACKENDS:
+        with storage_backend(name):
             base = METRICS.snapshot()
             result = inverse_chase(mapping, target)
             delta = METRICS.delta_since(base)
@@ -94,7 +91,7 @@ class TestFaultScheduleDeterminism:
             FaultSchedule(1, kinds=("meteor",))
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("batch", BATCHES)
 class TestChaosProperty:
     def test_randomized_schedules_bit_identical(
@@ -107,7 +104,7 @@ class TestChaosProperty:
             seed = batch * SEEDS_PER_BATCH + offset
             schedule = FaultSchedule(seed)
             path = tmp_path / f"snap-{seed}"
-            with engine_options(**BACKENDS[backend]):
+            with storage_backend(backend):
                 report = chaos_run(
                     lambda mgr: inverse_chase(mapping, target, checkpoint=mgr),
                     schedule=schedule,

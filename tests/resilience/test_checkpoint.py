@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.core.inverse_chase import inverse_chase, inverse_chase_candidates
-from repro.engine.config import engine_options
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -22,6 +21,7 @@ from repro.resilience import (
     write_snapshot,
 )
 from repro.workloads.generators import scaled_recovery_workload
+from tests.conftest import storage_backend
 
 SEMANTIC = (
     "coverings_evaluated",
@@ -326,7 +326,7 @@ class TestInverseChaseResume:
         mapping, target = workload
         ref, _ = reference
         path = tmp_path / "snap"
-        with engine_options(columnar_backend=True, columnar_min_facts=1):
+        with storage_backend("columnar"):
             self.interrupt(mapping, target, path)
             mgr = CheckpointManager(path, resume=True)
             out = inverse_chase(mapping, target, checkpoint=mgr)

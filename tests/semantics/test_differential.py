@@ -16,7 +16,6 @@ from repro.core.inverse_chase import inverse_chase
 from repro.core.repair import repairs
 from repro.core.semantics import is_recovery
 from repro.core.validity import is_valid_for_recovery
-from repro.engine.config import engine_options
 from repro.logic.parser import parse_query
 from repro.resilience import AnytimeResult, Deadline
 from repro.semantics import get_semantics
@@ -26,6 +25,7 @@ from repro.workloads.scenarios import (
     lemma1_remark,
     scenario,
 )
+from tests.conftest import storage_backend
 
 MAX_RECOVERIES = 100
 
@@ -46,18 +46,12 @@ FIXTURES = ("lemma1", "intro_split_scaled", "employee_benefits_scaled")
 BACKENDS = ("columnar", "object")
 
 
-def _backend_options(backend):
-    if backend == "columnar":
-        return {"columnar_backend": True, "columnar_min_facts": 0}
-    return {"columnar_backend": False}
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fixture", FIXTURES)
 class TestPaperBitIdentical:
     def test_recoveries_match_inverse_chase(self, fixture, backend):
         mapping, target, _ = _fixture(fixture)
-        with engine_options(**_backend_options(backend)):
+        with storage_backend(backend):
             expected = inverse_chase(
                 mapping, target, max_recoveries=MAX_RECOVERIES
             )
@@ -68,7 +62,7 @@ class TestPaperBitIdentical:
 
     def test_certain_matches_certain_answer(self, fixture, backend):
         mapping, target, query = _fixture(fixture)
-        with engine_options(**_backend_options(backend)):
+        with storage_backend(backend):
             expected = certain_answer(
                 query, mapping, target, max_recoveries=MAX_RECOVERIES
             )
@@ -82,7 +76,7 @@ class TestPaperBitIdentical:
         # AnytimeResult comparison (value AND status AND rung) is
         # deterministic.
         mapping, target, _ = _fixture(fixture)
-        with engine_options(**_backend_options(backend)):
+        with storage_backend(backend):
             expected = inverse_chase(
                 mapping,
                 target,

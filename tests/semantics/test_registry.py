@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.config import engine_options
 from repro.errors import ReproError
 from repro.semantics import (
     BaseSemantics,
@@ -23,11 +22,8 @@ class TestResolution:
         assert get_semantics("paper").name == "paper"
         assert get_semantics("exchange_repairs").name == "exchange_repairs"
 
-    def test_default_follows_engine_config(self):
-        assert get_semantics().name == "paper"
-        with engine_options(semantics="exchange_repairs"):
-            assert get_semantics().name == "exchange_repairs"
-        assert get_semantics().name == "paper"
+    def test_default_is_paper(self):
+        assert get_semantics() is get_semantics("paper")
 
     def test_unknown_mode_rejected_with_alternatives(self):
         with pytest.raises(UnknownSemanticsError, match="registered modes"):
@@ -37,11 +33,6 @@ class TestResolution:
         # The CLI maps ReproError to exit code 2; the service catches it
         # specifically for the 422 — both rely on this subclassing.
         assert issubclass(UnknownSemanticsError, ReproError)
-
-    def test_misconfigured_default_surfaces_on_lookup(self):
-        with engine_options(semantics="typo"):
-            with pytest.raises(UnknownSemanticsError):
-                get_semantics()
 
     def test_strategies_satisfy_protocol(self):
         for name in semantics_names():

@@ -10,8 +10,10 @@ metrics document are all pinned here.
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -37,6 +39,18 @@ def call(base, method, path, body=None, tenant=None, timeout=10):
             return response.status, json.loads(response.read()), dict(response.headers)
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
+
+
+def call_raw(base, path, data, tenant=None, timeout=10):
+    """POST ``data`` verbatim (no JSON encoding); ``(status, payload)``."""
+    request = urllib.request.Request(base + path, data=data, method="POST")
+    if tenant:
+        request.add_header("X-Tenant", tenant)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 @pytest.fixture(scope="class")
@@ -194,16 +208,42 @@ class TestErrorMapping:
 
     def test_malformed_json_400(self, server):
         _, base = server
-        request = urllib.request.Request(
-            base + "/recover", data=b"{not json", method="POST"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=10) as response:
-                status, payload = response.status, json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            status, payload = error.code, json.loads(error.read())
+        status, payload = call_raw(base, "/recover", b"{not json")
         assert status == 400
         assert payload["error"]["kind"] == "bad-request"
+
+    @pytest.mark.parametrize(
+        "number", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400, "9" * 5000]
+    )
+    def test_unrepresentable_deadline_400(self, server, number):
+        # ``NaN <= 0`` is false: a lenient decoder would run the request
+        # with no deadline at all.  Huge integers overflow a float or
+        # exceed the interpreter's digit limit.
+        _, base = server
+        raw = '{"mapping": "m", "target": "T(a, b)", "deadline_ms": %s}' % number
+        status, payload = call_raw(base, "/recover", raw.encode(), tenant="t1")
+        assert status == 400
+        assert payload["error"]["kind"] == "bad-request"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400(self, server, length):
+        # Answered without reading the body: ``-1`` must not block on
+        # the socket until the client hangs up.
+        _, base = server
+        url = urllib.parse.urlsplit(base)
+        request = (
+            "POST /recover HTTP/1.1\r\n"
+            f"Host: {url.netloc}\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        )
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(request.encode())
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert json.loads(body)["error"]["kind"] == "bad-request"
 
     def test_unknown_mapping_404(self, server):
         _, base = server

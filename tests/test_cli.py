@@ -437,15 +437,19 @@ class TestObservability:
 
 
 class TestArgumentValidation:
-    """Non-positive resource knobs are rejected up front with exit code 2."""
+    """Non-positive or non-finite resource knobs are rejected up front
+    with exit code 2 (``nan``/``inf`` would silently mean "no limit")."""
 
     @pytest.mark.parametrize(
         "flag, value",
         [
             ("--deadline-ms", "0"),
             ("--deadline-ms", "-5"),
+            ("--deadline-ms", "nan"),
+            ("--deadline-ms", "inf"),
             ("--checkpoint-every-ms", "0"),
             ("--checkpoint-every-ms", "-100"),
+            ("--checkpoint-every-ms", "nan"),
         ],
     )
     def test_non_positive_values_exit_2(self, workspace, capsys, flag, value):
