@@ -319,9 +319,9 @@ def measure_churn_point(facts: int, deltas: int):
     the covering hom it supports), even steps insert a fresh fact over
     unseen constants (admitting a new hom).  The incremental pass is
     traced as a whole; the cold pass re-times ``inverse_chase`` +
-    ``certain_answer`` on each evolved child with cleared caches (the
-    maintained state seeds the hom-set cache for its epoch, which a
-    cold consumer must not inherit).
+    ``certain_answer`` on each evolved child with cleared caches (an
+    epoch the maintained state rebuilds cold seeds the hom-set cache,
+    which a cold consumer must not inherit).
     """
     mapping, target, query, _ = scale_workload(facts)
     rng = random.Random(23)

@@ -157,8 +157,10 @@ def seed_hom_set(
     The checkpoint resume path calls this with the hom-set recorded in a
     validated snapshot (the snapshot's mapping/target fingerprints were
     checked first, so the seed is known to belong to this pair), letting
-    a restarted process skip the full recomputation.  A no-op when
-    ``homs`` is empty or the entry is already present.
+    a restarted process skip the full recomputation; a
+    :class:`~repro.incremental.RecoveryState` epoch that falls back to
+    the cold enumeration seeds its maintained set the same way.  A no-op
+    when ``homs`` is empty or the entry is already present.
     """
     if not homs:
         return

@@ -264,20 +264,21 @@ def is_justified(
         deterministically (``max_search`` alone still admits minutes of
         wall time on null-rich targets).
     """
-    if not satisfies(source, target, mapping):
-        return False
     if target.is_empty:
         # The empty target maps into any minimal solution, and every
         # source has one (a minimal image of its canonical chase).
+        return satisfies(source, target, mapping)
+    triggers = _source_triggers(mapping, source)
+    if _is_minimal_image(triggers, target):
+        # Fast path: J itself is a minimal solution, so J -> J trivially.
+        # Every trigger has a witness in J, so (I, J) |= Sigma holds too.
         return True
+    if not satisfies(source, target, mapping):
+        return False
     canonical = chase(mapping, source, dedup="frontier").result
     if canonical.is_empty:
         # A non-empty target cannot map into the only solution candidate.
         return False
-    triggers = _source_triggers(mapping, source)
-    if _is_minimal_image(triggers, target):
-        # Fast path: J itself is a minimal solution, so J -> J trivially.
-        return True
 
     facts = sorted(target.facts)
     spec = _Specialization()

@@ -59,6 +59,20 @@ _EPOCHS = count(1)
 COLUMNAR_MIN_FACTS = 1024
 
 
+def _fact_order(fact: Atom) -> tuple:
+    """The sort key of ``Atom.__lt__``'s order, flattened.
+
+    ``(relation, rank₀, str(key₀), rank₁, …)`` — each argument by its
+    :attr:`~repro.data.terms.Term.sort_key` — so sorting a fact set
+    compares plain tuples instead of calling ``Atom.__lt__`` and
+    ``Term.__lt__`` (which re-stringifies keys) per comparison.
+    """
+    key = [fact.relation]
+    for term in fact.args:
+        key += term.sort_key
+    return tuple(key)
+
+
 class InstanceDelta:
     """Epoch lineage of an evolved instance: parent plus fact delta.
 
@@ -105,6 +119,7 @@ class Instance:
         "_epoch",
         "_store",
         "_lineage",
+        "__weakref__",
     )
 
     def __init__(self, facts: Iterable[Atom] = (), schema: Optional[Schema] = None):
@@ -490,7 +505,7 @@ class Instance:
         return fact in self._facts
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(sorted(self._facts))
+        return iter(sorted(self._facts, key=_fact_order))
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -616,7 +631,7 @@ class InstanceBuilder:
         return base - len(self._removed) + len(self._added)
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(sorted(self.facts()))
+        return iter(sorted(self.facts(), key=_fact_order))
 
     # -- freezing ------------------------------------------------------------
 

@@ -117,10 +117,9 @@ class Constant(Term):
         if isinstance(self._key, int):
             return str(self._key)
         text = str(self._key)
-        # Quote anything the DSL would not read back as this constant.
-        if text and text[0].isalpha() and all(
-            c.isalnum() or c == "_" for c in text
-        ):
+        # Quote anything the DSL would not read back as this constant:
+        # an identifier is a letter followed by letters, digits or "_".
+        if text and text[0].isalpha() and text.replace("_", "a").isalnum():
             return text
         return f"'{text}'"
 

@@ -18,8 +18,10 @@ step.  The identities the maintenance leans on:
   anchored on the added facts.  Keeping the list sorted by the cold
   order's key — ``(tgd name, repr(substitution))``, tie-broken by tgd
   position, which reproduces ``sorted``'s stability — makes the
-  maintained list *equal* to ``hom_set(Σ, J′)``, so it also seeds the
-  hom-set LRU for any cold consumer of the same epoch.
+  maintained list *equal* to ``hom_set(Σ, J′)``, so an epoch that
+  falls back to the cold enumeration seeds the hom-set LRU with it
+  instead of recomputing it.  Fast epochs seed nothing: the LRU would
+  pin each epoch's target for as long as it stays cached.
 * **Unique covers are checkable in O(Δ).**  Theorem 6's test (every
   fact covered, every homomorphism covering some fact privately) is
   maintained by support counting on the coverage index: ``n`` facts
@@ -38,6 +40,15 @@ step.  The identities the maintenance leans on:
   check ``forward ⊆ J′`` (all forward terms are target terms, frozen
   under ``identity_on``), tracked as a ``missing`` set; when it is
   empty the single candidate's recovery *is* the backward instance.
+  Definition 2 then holds without the oracle: body and head variables
+  coincide, so every covering homomorphism's body image lies in the
+  backward instance and fires its tgd, re-deriving the facts it
+  covers; the covering covers ``J′``, so ``J′ ⊆ forward``, and with
+  ``missing`` empty, ``forward = J′``.  For full tgds the chase is
+  the least solution, hence the unique minimal one, and ``J′`` maps
+  into it by the identity.  A target holding labelled nulls still
+  goes to :func:`~repro.core.semantics.is_justified`; a count of its
+  non-ground facts, maintained per delta, keeps that test O(Δ).
 * **Certain answers are per-disjunct sets.**  Cached query answers
   over the (single) recovery are maintained delete-and-rederive
   (DRed): additions are delta-anchored evaluations; deletions
@@ -319,9 +330,13 @@ class _CoveringPipeline:
         if self._missing:
             return
         recovery = self.backward
-        if state._verify and not is_justified(
-            state._mapping, recovery, target, deadline=deadline
-        ):
+        if not state._verify:
+            pass
+        elif not state._nonground:
+            # Definition 2 holds by support: forward = J (module
+            # docstring), the unique minimal solution for full tgds.
+            METRICS.inc("incremental_justified_by_support")
+        elif not is_justified(state._mapping, recovery, target, deadline=deadline):
             # The dangling-completion rescue is vacuous here: every
             # term of a fast-mapping recovery lies in the target
             # domain, so there is no free null to ground.
@@ -470,6 +485,9 @@ class RecoveryState:
                 tuple(sorted(tgd.frontier_variables)) for tgd in self._tgds
             ]
             self._hv_by_tgd = dict(zip(self._tgds, self._head_vars))
+            # Target facts holding a labelled null; while none does, the
+            # fast pipeline decides Definition 2 without the oracle.
+            self._nonground = sum(not f.is_ground for f in target.facts)
             # HOM(Σ, J), kept equal to hom_set's output (order included).
             self._homs: list[TargetHomomorphism] = list(
                 hom_set(mapping, target, deadline)
@@ -549,6 +567,9 @@ class RecoveryState:
             METRICS.inc("incremental_deltas")
             carry_forward_plans(child)
             self._target = child
+            self._nonground += sum(not f.is_ground for f in added) - sum(
+                not f.is_ground for f in removed
+            )
             with TRACER.span("incremental.hom_maintenance", aggregate=True):
                 dead: set[TargetHomomorphism] = set()
                 for fact in removed:
@@ -580,8 +601,6 @@ class RecoveryState:
                     METRICS.inc("incremental_homs_retired", len(dead))
                 if new_homs:
                     METRICS.inc("incremental_homs_admitted", len(new_homs))
-            # Cold consumers of the same epoch get the maintained set.
-            seed_hom_set(self._mapping, child, list(self._homs))
             self._refresh_pipelines(
                 child,
                 deadline,
@@ -780,6 +799,9 @@ class RecoveryState:
         self, target: Instance, deadline: Optional[Deadline]
     ) -> None:
         """Recompute this epoch's pipelines via the cold enumeration."""
+        # The cold enumeration starts from HOM(Σ, J): hand it the
+        # maintained set instead of recomputing it.
+        seed_hom_set(self._mapping, target, list(self._homs))
         pipelines: list[_CoveringPipeline] = []
         current: Optional[_CoveringPipeline] = None
         for cand in inverse_chase_candidates(

@@ -855,6 +855,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1.0"
+    #: TCP_NODELAY: a keep-alive response must not wait for the
+    #: client's delayed ACK of the previous one (~40 ms stalls).
+    disable_nagle_algorithm = True
 
     def _respond(self) -> None:
         header = self.headers.get("Content-Length") or "0"
@@ -883,8 +886,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # no header block in HTTP/0.9
+            return
+        # Header block and body leave in one write, so a reused
+        # connection never holds a small body back behind its headers.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     do_GET = _respond
     do_POST = _respond

@@ -1,9 +1,11 @@
 """Unit tests for indexed instances."""
 
+import random
+
 import pytest
 
-from repro.data.atoms import atom
-from repro.data.instances import Instance, instance
+from repro.data.atoms import Atom, atom
+from repro.data.instances import Instance, InstanceBuilder, instance
 from repro.data.schema import Schema
 from repro.data.terms import Constant, Null, Variable
 from repro.errors import SchemaError
@@ -165,3 +167,36 @@ class TestEpochStability:
         j = i.apply({Constant("a"): Constant("b")})
         assert j == instance(atom("R", "b"))
         assert j.epoch != i.epoch
+
+
+class TestSortedIteration:
+    """Iteration order is ``sorted(facts)``, i.e. ``Atom.__lt__``'s order."""
+
+    # Mixed kinds, plus strings the printer must quote.  Int/str pairs
+    # with equal text (Constant(1) vs Constant("1")) are left out: the
+    # pairwise comparator does not order them totally.
+    TERMS = [
+        Constant("a"), Constant("b_1"), Constant("_a"), Constant("1a"),
+        Constant("a-b"), Constant("ä"), Constant(""), Constant(3),
+        Constant(12), Null("a"), Null("N2"), Null("10"),
+    ]
+
+    def facts(self, seed):
+        rng = random.Random(seed)
+        return [
+            Atom(rng.choice("RS"), rng.choices(self.TERMS, k=rng.randint(1, 3)))
+            for _ in range(60)
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_instance_iterates_in_atom_order(self, seed):
+        inst = Instance(self.facts(seed))
+        assert list(inst) == sorted(inst.facts)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_builder_iterates_in_atom_order(self, seed):
+        facts = self.facts(seed)
+        builder = InstanceBuilder(Instance(facts[:30]))
+        builder.add_validated(facts[30:])
+        builder.discard_all(facts[:5])
+        assert list(builder) == sorted(builder.facts())

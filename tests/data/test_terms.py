@@ -103,6 +103,23 @@ class TestAccessors:
         assert n.label == "N7"
         assert str(n) == "?N7"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("a", "a"),
+            ("a_b1", "a_b1"),
+            ("ä", "ä"),
+            ("_a", "'_a'"),
+            ("1a", "'1a'"),
+            ("a-b", "'a-b'"),
+            ("a b", "'a b'"),
+            ("", "''"),
+            (7, "7"),
+        ],
+    )
+    def test_constant_str_quotes_non_identifiers(self, value, text):
+        assert str(Constant(value)) == text
+
     def test_variable_name(self):
         assert Variable("x").name == "x"
 

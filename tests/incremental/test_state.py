@@ -6,16 +6,18 @@ recovery surface from scratch — ``hom_set``, ``inverse_chase`` and
 ``certain_answer`` on the *current* target — asserting bit-identical
 results (same recoveries, same order, same answers).
 
-One subtlety: ``apply_delta`` seeds the hom-set cache for the child
-epoch so cold consumers of the same instance get the maintained set
-for free.  The cold reference here must NOT see that seed, so each
-comparison clears the registered caches first; the maintained state
-keeps all of its incremental structures privately and is unaffected.
+One subtlety: an epoch that falls back to the cold enumeration seeds
+the hom-set cache with the maintained set (fast epochs seed nothing).
+The cold reference here must NOT see that seed, so each comparison
+clears the registered caches first; the maintained state keeps all of
+its incremental structures privately and is unaffected.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.data.terms import Constant
 from repro.engine import clear_registered_caches
 from repro.errors import NotRecoverableError
 from repro.incremental import RecoveryState
+from repro.incremental import state as state_module
 from repro.observability.metrics import METRICS
 from tests.conftest import storage_backend
 
@@ -58,15 +61,8 @@ def canon(recovery) -> tuple[str, ...]:
 def assert_matches_cold(state: RecoveryState, queries=(), **cold_options):
     """The maintained surface must be bit-identical to a cold recompute."""
     mapping, target = state.mapping, state.target
-    # The state seeded this epoch's hom-set cache; the cached value must
-    # equal what a cold enumeration produces, order included.
-    seeded = hom_set(mapping, target)
     clear_registered_caches()
-    cold_homs = hom_set(mapping, target)
-    assert [(h.tgd, h.substitution) for h in seeded] == [
-        (h.tgd, h.substitution) for h in cold_homs
-    ]
-    assert state.hom_count == len(cold_homs)
+    assert state.hom_count == len(hom_set(mapping, target))
 
     clear_registered_caches()
     cold = inverse_chase(mapping, target, **cold_options)
@@ -185,6 +181,76 @@ class TestCoveringSupportDeletion:
             state.apply_delta(add=add, remove=remove)
             assert_matches_cold(state, (parse_query("q(x) :- P(x)"),))
         assert METRICS.snapshot()["incremental_cold_rebuilds"] > rebuilds
+
+    def test_cold_rebuild_seeds_the_maintained_hom_set(self):
+        # F(a, a) has two covering homs, so the epoch rebuilds cold and
+        # hands its maintained HOM(Σ, J) to the hom-set cache; the seed
+        # must equal a cold enumeration, order included.
+        mapping = mapping_of(AMBIGUOUS)
+        state = RecoveryState(mapping, parse_instance("F(b, c)"))
+        rebuilds = METRICS.snapshot().get("incremental_cold_rebuilds", 0)
+        state.apply_delta(add=[fact("F", "a", "a"), fact("F", "c", "d")])
+        assert METRICS.snapshot()["incremental_cold_rebuilds"] == rebuilds + 1
+        seeded = hom_set(mapping, state.target)
+        clear_registered_caches()
+        cold_homs = hom_set(mapping, state.target)
+        assert [(h.tgd, h.substitution) for h in seeded] == [
+            (h.tgd, h.substitution) for h in cold_homs
+        ]
+        assert_matches_cold(state)
+
+
+class TestJustificationBySupport:
+    """The fast path decides Definition 2 without the oracle on ground targets."""
+
+    QUERY = parse_query("q(x) :- E(x, y)")
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        oracle = state_module.is_justified
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(state_module, "is_justified", counting)
+        return calls
+
+    def test_ground_churn_never_calls_the_oracle(self, oracle_calls):
+        rng = random.Random(31)
+        pool = [fact("F", f"c{i}", f"c{j}") for i in range(4) for j in range(4)]
+        before = METRICS.snapshot().get("incremental_justified_by_support", 0)
+        state = RecoveryState(mapping_of(BULK), parse_instance("F(c0, c1)"))
+        for _ in range(10):
+            add = rng.sample(pool, rng.randint(0, 2))
+            remove = rng.sample(pool, rng.randint(0, 2))
+            state.apply_delta(add=add, remove=remove)
+            assert_matches_cold(state, (self.QUERY,))
+        assert oracle_calls == []
+        assert METRICS.snapshot()["incremental_justified_by_support"] > before
+
+    def test_target_with_a_null_defers_to_the_oracle(self, oracle_calls):
+        null_fact = parse_instance("F(c0, ?n0)").facts
+        state = RecoveryState(mapping_of(BULK), parse_instance("F(c0, ?n0)"))
+        assert len(oracle_calls) == 1
+        assert_matches_cold(state, (self.QUERY,))
+        state.apply_delta(add=[fact("F", "c1", "c2")])
+        assert len(oracle_calls) == 2
+        assert_matches_cold(state, (self.QUERY,))
+        # With the last null gone the support argument applies again.
+        state.apply_delta(remove=null_fact)
+        assert len(oracle_calls) == 2
+        assert_matches_cold(state, (self.QUERY,))
+
+    def test_fast_deltas_do_not_pin_old_epochs(self):
+        state = RecoveryState(mapping_of(BULK), parse_instance("F(c0, c1)"))
+        state.apply_delta(add=[fact("F", "c1", "c2")])
+        early = weakref.ref(state.target)
+        for i in range(50):
+            state.apply_delta(add=[fact("F", f"d{i}", f"d{i + 1}")])
+        gc.collect()
+        assert early() is None
 
 
 class TestNonFastMappings:

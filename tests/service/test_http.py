@@ -9,8 +9,10 @@ metrics document are all pinned here.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import socketserver
 import time
 import urllib.error
 import urllib.parse
@@ -184,6 +186,52 @@ class TestEndpoints:
         status, payload, _ = call(base, "GET", "/mappings", tenant="t1")
         assert status == 200
         assert any(m["mapping_id"] == "m" for m in payload["mappings"])
+
+
+class TestResponseWrites:
+    def test_reused_connection_answers_every_request_in_one_write(
+        self, server, monkeypatch
+    ):
+        # Headers and body in one send (plus TCP_NODELAY) is what keeps
+        # a reused connection from stalling on the client's delayed
+        # ACK; counting the handler's socket writes pins it without a
+        # timing assertion.
+        _, base = server
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(len(data))
+            return write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        url = urllib.parse.urlsplit(base)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        requests = 12
+        try:
+            for i in range(requests):
+                body = json.dumps({"mapping": "m", "target": f"T(a{i}, b{i})"})
+                connection.request(
+                    "POST", "/recover", body,
+                    {"Content-Type": "application/json", "X-Tenant": "t1"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 200
+                assert payload["result"]["recoveries"] == [[f"S(a{i}, b{i})"]]
+        finally:
+            connection.close()
+        assert len(writes) == requests
+
+    def test_http09_request_gets_the_bare_body(self, server):
+        _, base = server
+        url = urllib.parse.urlsplit(base)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        assert json.loads(data)["ok"] is True
 
 
 class TestErrorMapping:
