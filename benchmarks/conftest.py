@@ -5,13 +5,10 @@ timing tables from pytest-benchmark and the reproduction tables
 (paper-stated artifact vs. measured artifact) printed by each
 experiment.
 
-Besides the pytest fixtures this module holds the fixture *builders*
-shared across benchmark files (and by ``quick_bench.py``, which runs
-as a plain script): the asymmetric Lemma-1-remark family and the
-small random-exchange shape.  Benchmark modules import them with
-``from conftest import ...`` — the benchmarks directory is on
-``sys.path`` both under pytest (no ``__init__.py`` here) and when the
-harness runs as a script.
+Besides the pytest fixtures this module holds the small
+random-exchange shape shared across benchmark files.  Benchmark modules
+import it with ``from conftest import ...`` — pytest puts the
+benchmarks directory on ``sys.path`` (there is no ``__init__.py`` here).
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ import sys
 
 import pytest
 
-from repro.logic.parser import parse_instance, parse_tgds
-from repro.logic.tgds import Mapping
 from repro.workloads import exchange_workload
 
 
@@ -33,21 +28,6 @@ def emit(text: str) -> None:
 @pytest.fixture(scope="session")
 def report():
     return emit
-
-
-def lemma1_fixture(n_s: int = 3, n_t: int = 4):
-    """The recovery-set blow-up workload (E6/E7's family, scaled).
-
-    Asymmetric by default (3 S-facts, 4 T-facts → |Chase^-1| = 1398):
-    big enough that a run takes a few hundred milliseconds — timer
-    noise stays well below the gate margins — while a full mode sweep
-    finishes in about a minute.
-    """
-    mapping = Mapping(parse_tgds("R(x, y) -> S(x); R(u, v) -> T(v)"))
-    facts = ", ".join(
-        [f"S(a{i})" for i in range(n_s)] + [f"T(b{i})" for i in range(n_t)]
-    )
-    return mapping, parse_instance(facts)
 
 
 def small_exchange(seed: int, source_facts: int, **overrides):

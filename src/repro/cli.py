@@ -165,7 +165,10 @@ def _build_parser() -> argparse.ArgumentParser:
     checkpointing(p_recover)
     p_recover.add_argument("--target", required=True, help="target instance file")
     p_recover.add_argument(
-        "--max-recoveries", type=int, default=1000, help="enumeration budget"
+        "--max-recoveries",
+        type=int,
+        default=1000,
+        help="budget on distinct recoveries (duplicate candidates do not count)",
     )
     p_recover.add_argument(
         "--cores",
@@ -185,7 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
     checkpointing(p_certain)
     p_certain.add_argument("--target", required=True)
     p_certain.add_argument("--query", required=True, help="query DSL file")
-    p_certain.add_argument("--max-recoveries", type=int, default=1000)
+    p_certain.add_argument(
+        "--max-recoveries",
+        type=int,
+        default=1000,
+        help="budget on distinct recoveries (duplicate candidates do not count)",
+    )
 
     p_repair = sub.add_parser("repair", help="repair an altered target and recover")
     common(p_repair)

@@ -225,8 +225,9 @@ def inverse_chase_candidates(
     :param subsumption: a precomputed ``SUB(Sigma)`` to reuse across
         calls with the same mapping.
     :param max_covers: budget on enumerated coverings.
-    :param max_recoveries: budget on emitted recoveries
-        (:class:`~repro.errors.BudgetExceededError` beyond it).
+    :param max_recoveries: budget on distinct emitted recoveries
+        (:class:`~repro.errors.BudgetExceededError` beyond it);
+        candidates repeating an already-emitted recovery never count.
     :param verify_justification: verify each candidate against the
         Definition 2 oracle before emitting it (see the module
         docstring).  Disable only for targets known to be valid for
@@ -294,6 +295,9 @@ def inverse_chase_candidates(
         )
     target_domain = target.domain()
     emitted = 0
+    # The recoveries emitted so far, which ``max_recoveries`` bounds;
+    # ``emitted`` counts candidates, duplicates included.
+    distinct: set[Instance] = set()
     covers_seen = 0
     conclusion_pool = homs if subsumption_mode == "refute" else None
     # Distinct (covering, g) pairs frequently produce the same recovery
@@ -439,13 +443,6 @@ def inverse_chase_candidates(
         error.progress.setdefault("covers_seen", covers_seen)
         error.progress.setdefault("recoveries_emitted", emitted)
 
-    def over_budget() -> Optional[BudgetExceededError]:
-        if max_recoveries is not None and emitted > max_recoveries:
-            return BudgetExceededError(
-                "inverse chase recoveries", max_recoveries
-            )
-        return None
-
     def surviving_coverings() -> Iterator[tuple[TargetHomomorphism, ...]]:
         nonlocal covers_seen, skip_coverings
         coverings = enumerate_covers(
@@ -479,6 +476,7 @@ def inverse_chase_candidates(
             # arrived via merge_counters, so none are re-counted here.
             for candidate in replay:
                 emitted += 1
+                distinct.add(candidate.recovery)
                 checkpointed.append(candidate)
                 yield candidate
             coverings_done = skip_coverings
@@ -531,11 +529,14 @@ def inverse_chase_candidates(
                         continue
                 emitted += 1
                 METRICS.inc("recoveries_emitted")
-                error = over_budget()
-                if error is not None:
-                    if on_budget == "truncate":
-                        return
-                    raise error
+                if max_recoveries is not None:
+                    distinct.add(recovery)
+                    if len(distinct) > max_recoveries:
+                        if on_budget == "truncate":
+                            return
+                        raise BudgetExceededError(
+                            "inverse chase recoveries", max_recoveries
+                        )
                 candidate = RecoveryCandidate(
                     covering, backward, forward, g, recovery
                 )

@@ -19,7 +19,6 @@ from .spans import Span, TRACER, Tracer
 from .export import (
     format_trace,
     metrics_document,
-    phase_wall_times,
     write_metrics_json,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "Tracer",
     "format_trace",
     "metrics_document",
-    "phase_wall_times",
     "write_metrics_json",
 ]

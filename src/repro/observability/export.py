@@ -1,9 +1,7 @@
 """Exporters turning tracer/metrics state into JSON documents and text.
 
-Two consumers share these shapes: the CLI (``--trace`` prints the text
-tree, ``--metrics-json PATH`` writes the JSON document) and the
-quick_bench harness (which reads per-phase wall times out of the same
-span tree instead of running its own stopwatches).
+The CLI uses both shapes: ``--trace`` prints the text tree and
+``--metrics-json PATH`` writes the JSON document.
 """
 
 from __future__ import annotations
@@ -59,18 +57,3 @@ def _format_span(span: Span, lines: list[str], depth: int) -> None:
     lines.append("  " * depth + " ".join(parts))
     for child in span.children:
         _format_span(child, lines, depth + 1)
-
-
-def phase_wall_times(trace: list[dict[str, Any]]) -> dict[str, float]:
-    """``{name: wall_ms}`` for each top-level phase under each root.
-
-    quick_bench uses this to source BENCH_*.json phase timings from the
-    engine's own spans.  Children of the root(s) are the phases; a name
-    appearing under several roots accumulates.
-    """
-    phases: dict[str, float] = {}
-    for root in trace:
-        for child in root.get("children", ()):  # phases live one level down
-            name = child["name"]
-            phases[name] = phases.get(name, 0.0) + float(child["wall_ms"])
-    return phases

@@ -15,7 +15,7 @@ per-tenant cache partitions.  The moving parts:
   ``http.server`` transport (stdlib only, threaded) that feeds the
   dispatcher and writes JSON back.
 * :func:`running_server` — a context manager that boots the server on
-  a background thread and tears it down, for tests and quick_bench.
+  a background thread and tears it down, for tests.
 
 Request flow for the compute endpoints (``/recover``, ``/certain``,
 ``/repair``): resolve tenant → admission control (429 + Retry-After

@@ -20,6 +20,7 @@ import pytest
 from repro.core.certain import certain_answer
 from repro.core.inverse_chase import inverse_chase
 from repro.data.instances import COLUMNAR_MIN_FACTS
+from repro.errors import BudgetExceededError
 from repro.logic.parser import parse_instance, parse_query, parse_tgds
 from repro.logic.tgds import Mapping
 from repro.observability import METRICS
@@ -89,3 +90,20 @@ def test_work_counters_are_pinned(key, backend):
     size, counters = EXPECTED[key]
     assert len(result) == size
     assert tuple(snapshot.get(counter, 0) for counter in PINNED) == counters
+
+
+@pytest.mark.parametrize("on_budget", ["raise", "truncate"])
+def test_max_recoveries_counts_distinct_recoveries(on_budget):
+    """729 candidates yield 219 recoveries: the budget bounds the 219."""
+    mapping, target, _ = lemma1()
+    METRICS.reset()
+    full = inverse_chase(mapping, target, max_recoveries=219, on_budget=on_budget)
+    assert len(full) == 219
+    assert METRICS.get("recoveries_emitted") == 729
+    if on_budget == "truncate":
+        cut = inverse_chase(mapping, target, max_recoveries=218, on_budget="truncate")
+    else:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            inverse_chase(mapping, target, max_recoveries=218)
+        cut = excinfo.value.partial
+    assert cut == full[:218]

@@ -10,7 +10,6 @@ from repro.observability import (
     Tracer,
     format_trace,
     metrics_document,
-    phase_wall_times,
     write_metrics_json,
 )
 
@@ -141,19 +140,6 @@ class TestExporters:
 
     def test_format_trace_empty(self):
         assert "(no spans recorded)" in format_trace([])
-
-    def test_phase_wall_times_sums_children(self):
-        trace = [
-            {
-                "name": "cli.recover",
-                "wall_ms": 10.0,
-                "children": [
-                    {"name": "load", "wall_ms": 2.0},
-                    {"name": "execute", "wall_ms": 7.5},
-                ],
-            }
-        ]
-        assert phase_wall_times(trace) == {"load": 2.0, "execute": 7.5}
 
     def test_metrics_document_and_write(self, tmp_path):
         doc = metrics_document(counters={"a": 1}, trace=[], command="recover")

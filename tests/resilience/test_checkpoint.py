@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.inverse_chase import inverse_chase, inverse_chase_candidates
 from repro.errors import (
+    BudgetExceededError,
     CheckpointCorruptError,
     CheckpointMismatchError,
     DeadlineExceededError,
@@ -261,6 +262,23 @@ class TestInverseChaseResume:
         assert out == ref
         if mgr.resume_outcome != "complete":
             assert work_delta(base) == ref_delta
+
+    def test_resumed_budget_counts_replayed_recoveries(
+        self, tmp_path, workload, reference
+    ):
+        # Every covering of this workload yields one new recovery, so a
+        # resume that forgot the replayed ones would finish in budget.
+        mapping, target = workload
+        ref, _ = reference
+        budget = len(ref) - 1
+        path = tmp_path / "snap"
+        # 800 steps emit about half the recoveries before the crash.
+        self.interrupt(mapping, target, path, steps=800, max_recoveries=budget)
+        mgr = CheckpointManager(path, resume=True)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            inverse_chase(mapping, target, checkpoint=mgr, max_recoveries=budget)
+        assert mgr.resume_outcome == "resumed"
+        assert excinfo.value.partial == ref[:budget]
 
     def test_candidate_stream_resumes_in_order(self, tmp_path, workload):
         mapping, target = workload

@@ -26,6 +26,7 @@ from repro import (
     parse_tgds,
     repairs,
 )
+from repro.observability import METRICS
 
 
 @pytest.fixture
@@ -109,6 +110,7 @@ class TestDegradeLadder:
         partial set, tagged sound-incomplete."""
         mapping, target = branching_scenario
         budget, emitted = _steps_to_emit(mapping, target, wanted=1)
+        base = METRICS.snapshot()
         result = inverse_chase(
             mapping,
             target,
@@ -118,6 +120,11 @@ class TestDegradeLadder:
         assert isinstance(result, AnytimeResult)
         assert result.status == "sound-incomplete"
         assert result.rung == "partial-enumeration"
+        # The counters explain the degraded answer: one expiry, one step
+        # down the ladder.
+        delta = METRICS.delta_since(base)
+        assert delta.get("deadline_hits") == 1
+        assert delta.get("degradations") == 1
         assert len(result) == emitted >= 1
         for recovery in result:
             assert is_justified(mapping, recovery, target)

@@ -82,6 +82,29 @@ class TestRecover:
         assert code == 0
         assert "recovery(ies):" in capsys.readouterr().out
 
+    def test_max_recoveries_counts_distinct_recoveries(self, tmp_path, capsys):
+        # The Lemma-1 family with 3 S- and 4 T-facts: 5 184 candidates
+        # yield 1 398 distinct recoveries, so a budget of 1 398 suffices.
+        mapping_path = tmp_path / "lemma1.mapping"
+        mapping = Mapping(parse_tgds("R(x, y) -> S(x); R(u, v) -> T(v)"))
+        save_mapping(mapping, mapping_path)
+        target_path = tmp_path / "lemma1.instance"
+        facts = [f"S(a{i})" for i in range(3)] + [f"T(b{i})" for i in range(4)]
+        save_instance(parse_instance(", ".join(facts)), target_path)
+        code = main(
+            [
+                "recover",
+                "--mapping",
+                str(mapping_path),
+                "--target",
+                str(target_path),
+                "--max-recoveries",
+                "1398",
+            ]
+        )
+        assert code == 0
+        assert "1398 recovery(ies):" in capsys.readouterr().out
+
     def test_recover_with_cores(self, workspace, capsys):
         _, mapping_path, _, target_path = workspace
         code = main(
@@ -387,8 +410,6 @@ class TestObservability:
     def test_metrics_json_phases_sum_to_elapsed(self, workspace, tmp_path):
         import json
 
-        from repro.observability import phase_wall_times
-
         _, mapping_path, _, target_path = workspace
         out = tmp_path / "metrics.json"
         assert main(
@@ -403,7 +424,8 @@ class TestObservability:
             ]
         ) == 0
         doc = json.loads(out.read_text())
-        phases = phase_wall_times(doc["trace"])
+        (root,) = doc["trace"]
+        phases = {child["name"]: child["wall_ms"] for child in root["children"]}
         assert set(phases) == {"load", "execute"}
         # The load + execute spans cover the command body, so their sum
         # cannot exceed the CLI's own stopwatch (modulo rounding).
