@@ -523,6 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        args._report["status"] = "error"
         return 2
     except OSError as error:
         # A missing or unreadable input file is a usage error, not an
@@ -531,6 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {error.filename}: {error.strerror}", file=sys.stderr)
         else:
             print(f"error: {error}", file=sys.stderr)
+        args._report["status"] = "error"
         return 2
     finally:
         elapsed_ms = (time.perf_counter() - started) * 1000

@@ -51,7 +51,6 @@ from ..observability.spans import TRACER
 from ..errors import BudgetExceededError, DeadlineExceededError, NotRecoverableError
 from ..logic.homomorphisms import instance_homomorphisms
 from ..logic.tgds import Mapping
-from ..planner.warm import collect_warm_keys, warm_cache_token, warm_plan_caches
 from ..resilience import AnytimeResult, Deadline
 from ..resilience.checkpoint import (
     CheckpointManager,
@@ -278,12 +277,11 @@ def inverse_chase_candidates(
             },
         )
         if resume_payloads is not None:
-            # Warm the derived caches before any recomputation: the
+            # Seed the hom-set cache before any recomputation: the
             # snapshot's fingerprints were just validated, so its
-            # hom-set and plan keys are known to belong to this pair.
+            # hom-set is known to belong to this pair.
             saved_homs = resume_payloads.get("homs") or {}
             seed_hom_set(mapping, target, saved_homs.get("hom_set") or ())
-            warm_plan_caches(saved_homs.get("plan_keys"), target)
     with TRACER.span("inverse_chase.hom_set"):
         homs = hom_set(mapping, target, deadline)
     if subsumption_mode == "auto":
@@ -375,21 +373,18 @@ def inverse_chase_candidates(
 
     def save_checkpoint(*, complete: bool = False) -> None:
         # The bulk state travels as TWO lazy, token-guarded records.
-        # ``homs`` (the hom-set and warm plan keys) is fixed once the
-        # plan caches settle, so after the first cadenced save later
-        # saves — including the final complete-save — reuse its encoded
-        # line verbatim.  ``enum`` holds what actually grows (packed
-        # candidates + verdicts); its verdict keys are the candidates'
-        # recovery instances, so keeping those two in one pickle stores
-        # each shared subgraph once.
+        # ``homs`` (the hom-set) is fixed for the whole enumeration, so
+        # after the first cadenced save later saves — including the
+        # final complete-save — reuse its encoded line verbatim.
+        # ``enum`` holds what actually grows (packed candidates +
+        # verdicts); its verdict keys are the candidates' recovery
+        # instances, so keeping those two in one pickle stores each
+        # shared subgraph once.
         n_candidates = boundary["n_candidates"]
         n_verdicts = boundary["n_verdicts"]
 
         def homs_state() -> dict:
-            return {
-                "hom_set": tuple(homs),
-                "plan_keys": collect_warm_keys(target),
-            }
+            return {"hom_set": tuple(homs)}
 
         def enum_state() -> dict:
             if not hom_pos and homs:
@@ -410,7 +405,7 @@ def inverse_chase_candidates(
             "enum": enum_state,
         }
         tokens = {
-            "homs": (len(homs), warm_cache_token()),
+            "homs": len(homs),
             "enum": (n_candidates, n_verdicts),
         }
         checkpoint.save(payloads, complete=complete, tokens=tokens)
@@ -648,7 +643,7 @@ def inverse_chase(
         # Hand the caller what was already produced: every entry passed
         # the justification gate, so the partial list is sound.
         error.partial = list(result)
-        error.progress.setdefault("recoveries_emitted", len(result))
+        error.progress["recoveries_emitted"] = len(result)
         raise
     return result
 

@@ -155,9 +155,8 @@ class ColumnarStore:
 
         Relations untouched by the delta share their
         :class:`ColumnarRelation` objects (columns *and* already-built
-        indexes) with the receiver, so compiled vector plans carried
-        forward across an :meth:`Instance.evolve` keep pointing at live
-        data.  Touched relations are rebuilt by splicing the delta into
+        indexes) with the receiver, so nothing is rebuilt for them.
+        Touched relations are rebuilt by splicing the delta into
         the existing sorted row list — the structural row order is a
         total order (term sort keys are injective), so the result is
         bit-identical to a cold :meth:`build` of the same fact set.

@@ -76,10 +76,10 @@ def _fact_order(fact: Atom) -> tuple:
 class InstanceDelta:
     """Epoch lineage of an evolved instance: parent plus fact delta.
 
-    ``Instance.evolve`` stamps its child with one of these, so caches
-    keyed on epochs can carry entries forward selectively (anything
-    untouched by ``added``/``removed`` relations is still valid for the
-    child) instead of recomputing wholesale under churn.
+    ``Instance.evolve`` stamps its child with one of these, so
+    incremental maintenance (:mod:`repro.incremental`) reads the facts
+    that separate the child from its parent epoch instead of diffing
+    the two instances.
     """
 
     __slots__ = ("parent_epoch", "added", "removed")
@@ -93,13 +93,6 @@ class InstanceDelta:
         self.parent_epoch = parent_epoch
         self.added = added
         self.removed = removed
-
-    @property
-    def relations(self) -> frozenset[str]:
-        """Relations touched by the delta (for cache carry-forward)."""
-        return frozenset(f.relation for f in self.added) | frozenset(
-            f.relation for f in self.removed
-        )
 
     def __repr__(self) -> str:
         return (

@@ -202,45 +202,11 @@ class LRUCache:
                 del self._data[key]
 
     def keys(self) -> list:
-        """A point-in-time list of settled keys (in-flight ones excluded).
-
-        Used by the checkpoint layer to record which plan keys were warm
-        at save time, so a resumed process can recompile them up front.
-        """
+        """A point-in-time list of settled keys (in-flight ones excluded)."""
         with self._lock:
             return [
                 k for k, v in self._data.items() if not isinstance(v, _InFlight)
             ]
-
-    def peek(self, key: Hashable, default: object = None) -> object:
-        """The settled value for ``key`` without recency or counter effects.
-
-        Used by lineage-aware cache carry-forward: the planner inspects
-        a parent epoch's entries to re-key still-valid plans for an
-        evolved child, and that sweep must not skew hit/miss parity or
-        evict anything.
-        """
-        with self._lock:
-            value = self._data.get(key, _SENTINEL)
-        if value is _SENTINEL or isinstance(value, _InFlight):
-            return default
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert a precomputed value (no hit/miss accounting).
-
-        The carry-forward half of :meth:`peek`: a plan re-keyed for an
-        evolved instance is stored directly.  An in-flight computation
-        for the key wins over the carried value (the computer is about
-        to publish a fresh result to waiting threads).
-        """
-        with self._lock:
-            existing = self._data.get(key, _SENTINEL)
-            if isinstance(existing, _InFlight):
-                return
-            self._data.pop(key, None)
-            self._data[key] = value
-            self._evict_locked()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -396,12 +362,6 @@ class PartitionedLRUCache:
 
     def keys(self) -> list:
         return self._part().keys()
-
-    def peek(self, key: Hashable, default: object = None) -> object:
-        return self._part().peek(key, default)
-
-    def put(self, key: Hashable, value: object) -> None:
-        return self._part().put(key, value)
 
     def clear(self) -> None:
         with self._lock:

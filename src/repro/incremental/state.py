@@ -82,7 +82,6 @@ from ..logic.tgds import Mapping
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
 from ..planner.delta import (
-    carry_forward_plans,
     delta_restricted_homomorphisms,
     seeded_has_homomorphism,
 )
@@ -247,7 +246,6 @@ class _CoveringPipeline:
             b_added: frozenset[Atom] = frozenset()
             b_removed: frozenset[Atom] = frozenset()
         else:
-            carry_forward_plans(backward)
             b_added = backward.lineage.added
             b_removed = backward.lineage.removed
 
@@ -565,7 +563,6 @@ class RecoveryState:
             lineage = child.lineage
             added, removed = lineage.added, lineage.removed
             METRICS.inc("incremental_deltas")
-            carry_forward_plans(child)
             self._target = child
             self._nonground += sum(not f.is_ground for f in added) - sum(
                 not f.is_ground for f in removed

@@ -7,7 +7,8 @@ join plan with a static atom order, per-atom candidate lists pruned by
 semi-join (arc-consistency) passes, and a decomposition into connected
 components — caches the plan in an LRU keyed on the pattern's canonical
 form and the target's epoch, and evaluates it with early projection and
-an existence-only mode.
+an existence-only mode.  A compiled plan lives in one process, for one
+target epoch, and is built lazily on first use.
 
 Every homomorphism search of the engine runs here, through
 :func:`repro.logic.homomorphisms.homomorphisms`.  The backtracking
@@ -24,13 +25,11 @@ from .vectorized import (
     vector_homomorphisms,
     vector_query_tuples,
 )
-from .warm import collect_warm_keys, warm_plan_caches
 
 __all__ = [
     "Plan",
     "VectorPlan",
     "canonicalize",
-    "collect_warm_keys",
     "compile_plan",
     "compile_vector_plan",
     "plan_for",
@@ -39,5 +38,4 @@ __all__ = [
     "vector_has_homomorphism",
     "vector_homomorphisms",
     "vector_query_tuples",
-    "warm_plan_caches",
 ]

@@ -1,30 +1,19 @@
-"""Delta-seeded homomorphism search and plan-cache carry-forward.
+"""Delta-seeded homomorphism search.
 
-Semi-naive maintenance (:mod:`repro.incremental`) asks two things of
-the planner that the epoch-keyed full compiler is the wrong shape for:
-
-* **Anchored enumeration** — every homomorphism that *uses* a delta
-  fact.  Running one full join plan per atom position with that atom
-  bound to the delta rows would be complete, but compiling a plan
-  prefilters every other atom against the whole instance — O(|J|) per
-  epoch, which defeats O(|ΔJ|) maintenance.  Instead the search here
-  seeds each anchor's candidate pools directly from the instance's
-  incrementally-maintained indexes (the object positional tier, which
-  ``Instance.evolve`` patches per touched key): unify the anchored
-  atom with the delta fact, then backtrack over the remaining atoms
-  picking the narrowest index bucket under the current binding.  Work
-  is output-sensitive — proportional to the bindings reachable from
-  the delta fact, never to ``|J|``.
-* **Carry-forward** — compiled plans are keyed on
-  ``(canonical key, epoch)`` and a delta'd instance has a fresh epoch,
-  so every warm plan would recompile from scratch.  A plan whose
-  relations are disjoint from the delta's touched relations describes
-  candidate pools the delta cannot have changed;
-  :func:`carry_forward_plans` re-keys those entries (object and
-  vectorized) from the parent epoch to the child's.  Vector plans
-  embed :class:`~repro.data.columnar.ColumnarRelation` objects; the
-  evolved store shares exactly the untouched relations' objects, so a
-  relation-disjoint vector plan still points at live columns.
+Semi-naive maintenance (:mod:`repro.incremental`) asks the planner for
+**anchored enumeration** — every homomorphism that *uses* a delta
+fact — and the epoch-keyed full compiler is the wrong shape for it.
+Running one full join plan per atom position with that atom bound to
+the delta rows would be complete, but compiling a plan prefilters
+every other atom against the whole instance — O(|J|) per epoch, which
+defeats O(|ΔJ|) maintenance.  Instead the search here seeds each
+anchor's candidate pools directly from the instance's
+incrementally-maintained indexes (the object positional tier, which
+``Instance.evolve`` patches per touched key): unify the anchored atom
+with the delta fact, then backtrack over the remaining atoms picking
+the narrowest index bucket under the current binding.  Work is
+output-sensitive — proportional to the bindings reachable from the
+delta fact, never to ``|J|``.
 
 The emitted substitutions are value-equal to what the compiled kernels
 (:mod:`repro.planner.evaluate` / :mod:`repro.planner.vectorized`)
@@ -39,15 +28,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ..data.atoms import Atom
 from ..data.instances import Instance
 from ..data.substitutions import Substitution
-from ..data.terms import Constant, Term
+from ..data.terms import Term
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
-from .plan import _PLAN_CACHE
-from .vectorized import _VECTOR_PLAN_CACHE
-
-
-def _mappable(term: Term, frozen: frozenset[Term]) -> bool:
-    return not isinstance(term, Constant) and term not in frozen
+from .plan import _Meter, _mappable
 
 
 def _unify_atom(
@@ -80,24 +64,6 @@ def _unify_atom(
     for p in undo:
         del binding[p]
     return None
-
-
-class _Meter:
-    """Batched deadline accounting, one tick per candidate fact visited."""
-
-    __slots__ = ("deadline", "pending")
-
-    def __init__(self, deadline):
-        self.deadline = deadline
-        self.pending = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.pending += 1
-        if self.pending >= 32:
-            self.deadline.step(self.pending, "delta search")
-            self.pending = 0
 
 
 def _seeded_solutions(
@@ -159,7 +125,7 @@ def delta_restricted_homomorphisms(
     pattern = list(pattern)
     base_map = dict(base) if base else {}
     project_set = None if project is None else set(project)
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "delta search")
     seen: set[frozenset] = set()
     delta = sorted(set(delta_facts))
     METRICS.inc("incremental_delta_searches")
@@ -203,43 +169,9 @@ def seeded_has_homomorphism(
     head binding seeds the pools, so the check costs the fan-out from
     the bound values, not a fresh O(|J|) plan compilation per epoch.
     """
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "delta search")
     for _ in _seeded_solutions(
         list(pattern), target, dict(base) if base else {}, frozen, meter
     ):
         return True
     return False
-
-
-def carry_forward_plans(child: Instance) -> int:
-    """Re-key still-valid compiled plans from a parent epoch to ``child``.
-
-    Only meaningful for instances with lineage (``Instance.evolve``).
-    A cached plan is carried when every relation in its canonical key
-    is untouched by the delta: its prefiltered candidate pools (facts
-    or columnar rows) are then identical for the child, and evaluation
-    state that *does* depend on the instance (bound-value membership
-    checks) is instantiated per call anyway.  Returns the number of
-    plans carried; safe to call repeatedly (``put`` is idempotent).
-    """
-    lineage = child.lineage
-    if lineage is None:
-        return 0
-    changed = lineage.relations
-    parent_epoch = lineage.parent_epoch
-    carried = 0
-    for cache in (_PLAN_CACHE, _VECTOR_PLAN_CACHE):
-        for cache_key in cache.keys():
-            key, epoch = cache_key
-            if epoch != parent_epoch:
-                continue
-            if any(relation in changed for relation, _slots in key):
-                continue
-            plan = cache.peek(cache_key)
-            if plan is None:
-                continue
-            cache.put((key, child.epoch), plan)
-            carried += 1
-    if carried:
-        METRICS.inc("incremental_plans_carried", carried)
-    return carried

@@ -46,29 +46,11 @@ from ..data.substitutions import Substitution
 from ..data.terms import Term
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
-from .plan import Component, Plan, plan_for
+from .plan import Component, Plan, _Meter, plan_for
 from .vectorized import vector_has_homomorphism, vector_homomorphisms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..resilience import Deadline
-
-
-class _Meter:
-    """Batched deadline accounting, one tick per candidate fact visited."""
-
-    __slots__ = ("deadline", "pending")
-
-    def __init__(self, deadline: Optional["Deadline"]):
-        self.deadline = deadline
-        self.pending = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.pending += 1
-        if self.pending >= 32:
-            self.deadline.step(self.pending, "join kernel")
-            self.pending = 0
 
 
 def _component_solutions(
@@ -165,7 +147,7 @@ def kernel_has_homomorphism(
     plan, _, bound_values = _prepare(pattern, target, base or {}, frozen)
     if not plan.satisfiable or not _passes_checks(plan, target, bound_values):
         return False
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "join kernel")
     binding: list = [None] * plan.num_vars
     with TRACER.span("planner.execute", aggregate=True):
         for component in plan.components:
@@ -225,7 +207,7 @@ def kernel_homomorphisms(
     plan, var_terms, bound_values = _prepare(pattern, target, base_map, frozen)
     if not plan.satisfiable or not _passes_checks(plan, target, bound_values):
         return
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "join kernel")
     binding: list = [None] * plan.num_vars
     # Solve every component up front except the last, which streams so
     # single-component patterns (the common case) stay fully lazy.

@@ -31,7 +31,7 @@ tables it determines the original pattern up to renaming.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ..data.atoms import Atom
 from ..data.instances import Instance
@@ -39,6 +39,9 @@ from ..data.terms import Constant, Term
 from ..engine.cache import LRUCache, PartitionedLRUCache
 from ..observability.metrics import METRICS
 from ..observability.spans import TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..resilience import Deadline
 
 #: Semi-join pruning stops after this many passes even short of fixpoint.
 _ARC_PASSES = 4
@@ -58,6 +61,44 @@ def _mappable(term: Term, frozen: frozenset[Term]) -> bool:
     if isinstance(term, Constant):
         return False
     return term not in frozen
+
+
+class _Meter:
+    """Batched deadline accounting for the planner's search loops.
+
+    Ticks (one per candidate fact or row visited) accumulate and are
+    charged under ``label`` in batches of 32 to keep the per-visit
+    overhead negligible; :meth:`flush` charges the remainder at
+    component boundaries so small components (under one batch) still
+    count against the step budget.  :meth:`charge_rows` feeds the
+    deadline's *memory* estimate from materialized intermediate sizes.
+    """
+
+    __slots__ = ("deadline", "label", "pending")
+
+    def __init__(self, deadline: Optional["Deadline"], label: str):
+        self.deadline = deadline
+        self.label = label
+        self.pending = 0
+
+    def tick(self, amount: int = 1) -> None:
+        if self.deadline is None:
+            return
+        self.pending += amount
+        if self.pending >= 32:
+            self.deadline.step(self.pending, self.label)
+            self.pending = 0
+
+    def flush(self) -> None:
+        if self.deadline is not None and self.pending:
+            self.deadline.step(self.pending, self.label)
+            self.pending = 0
+
+    def charge_rows(self, count: int, width: int) -> None:
+        """Charge ``count`` materialized int tuples of ``width`` slots."""
+        if self.deadline is not None and count:
+            # CPython small-tuple overhead is ~56 bytes + 8 per slot.
+            self.deadline.charge_memory(count * (56 + 8 * width), self.label)
 
 
 def _atom_sort_key(atom: Atom, frozen: frozenset[Term], base_keys: frozenset[Term]):

@@ -44,6 +44,7 @@ from ..observability.spans import TRACER
 from .plan import (
     _ARC_PASSES,
     PLAN_CACHE_SIZE,
+    _Meter,
     _connected_components,
     _join_order,
     canonicalize,
@@ -59,44 +60,6 @@ _VECTOR_PLAN_CACHE = PartitionedLRUCache("vector_plan", maxsize=PLAN_CACHE_SIZE)
 #: hold it, so every comparison against it fails (bound ids are only
 #: ever compared to column values, never to each other).
 _UNKNOWN = -1
-
-
-class _Meter:
-    """Batched deadline accounting, one tick per candidate row visited.
-
-    Ticks accumulate and are charged in batches of 32 to keep the
-    per-row overhead negligible; :meth:`flush` charges the remainder at
-    component boundaries so small components (under one batch of rows)
-    still count against the step budget.  :meth:`charge_rows` feeds the
-    deadline's *memory* estimate from the materialized intermediate
-    sizes — the only allocations in this kernel that can grow beyond
-    the input.
-    """
-
-    __slots__ = ("deadline", "pending")
-
-    def __init__(self, deadline: Optional["Deadline"]):
-        self.deadline = deadline
-        self.pending = 0
-
-    def tick(self, amount: int = 1) -> None:
-        if self.deadline is None:
-            return
-        self.pending += amount
-        if self.pending >= 32:
-            self.deadline.step(self.pending, "join kernel")
-            self.pending = 0
-
-    def flush(self) -> None:
-        if self.deadline is not None and self.pending:
-            self.deadline.step(self.pending, "join kernel")
-            self.pending = 0
-
-    def charge_rows(self, count: int, width: int) -> None:
-        """Charge ``count`` materialized int tuples of ``width`` slots."""
-        if self.deadline is not None and count:
-            # CPython small-tuple overhead is ~56 bytes + 8 per slot.
-            self.deadline.charge_memory(count * (56 + 8 * width), "join kernel")
 
 
 class VectorAtom:
@@ -588,7 +551,7 @@ def vector_has_homomorphism(
     plan, _, bound_ids = _vector_prepare(pattern, target, store, base or {}, frozen)
     if not plan.satisfiable or not _passes_bound_checks(plan, store, bound_ids):
         return False
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "join kernel")
     with TRACER.span("planner.vector_execute", aggregate=True):
         try:
             for component in plan.components:
@@ -625,7 +588,7 @@ def vector_query_tuples(
     if not plan.satisfiable or not _passes_bound_checks(plan, store, bound_ids):
         return set()
     project_set = set(head_vars)
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "join kernel")
     decode = store.table.term
     solved: list[tuple[tuple[Term, ...], list[tuple[int, ...]]]] = []
     with TRACER.span("planner.vector_execute", aggregate=True):
@@ -695,7 +658,7 @@ def vector_homomorphisms(
     )
     if not plan.satisfiable or not _passes_bound_checks(plan, store, bound_ids):
         return
-    meter = _Meter(deadline)
+    meter = _Meter(deadline, "join kernel")
     decode = store.table.term
     solved: list[tuple[tuple[Term, ...], list[tuple[int, ...]]]] = []
     with TRACER.span("planner.vector_execute", aggregate=True):

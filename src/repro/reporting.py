@@ -83,7 +83,8 @@ class RunReport:
     when resilience was in play: ``exact`` for a complete answer,
     ``sound-incomplete`` for a degraded one, and the ladder rung that
     produced it.  For a plain run without a deadline they are
-    ``"exact"`` / ``"enumeration"``.  ``counters`` is a metrics
+    ``"exact"`` / ``"enumeration"``.  A CLI run that fails reports
+    ``deadline-exceeded`` (exit 3) or ``error`` (exit 2).  ``counters`` is a metrics
     snapshot (see :data:`repro.observability.METRICS`), so deadline
     hits, chunk retries and degradations taken during the run are all
     recorded.  ``trace`` — when the run recorded spans (CLI ``--trace``

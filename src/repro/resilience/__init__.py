@@ -16,10 +16,7 @@ up on adversarial inputs.  This package is the answer:
   constructions) instead of failing;
 * :class:`~repro.resilience.checkpoint.CheckpointManager` — durable,
   versioned snapshots of resumable enumeration state, so a crash or
-  restart costs the delta since the last save instead of the run;
-* :mod:`~repro.resilience.chaos` — a seeded fault-schedule harness
-  that injects crashes, checkpoint corruption and clock skew to
-  *prove* the recovery guarantees hold.
+  restart costs the delta since the last save instead of the run.
 
 This package deliberately imports only :mod:`repro.errors`,
 :mod:`repro.engine` and :mod:`repro.observability` so that
@@ -28,14 +25,6 @@ cycles.
 """
 
 from .anytime import AnytimeResult, Rung, Status
-from .chaos import (
-    FAULT_KINDS,
-    ChaosReport,
-    Fault,
-    FaultSchedule,
-    InjectedCrash,
-    chaos_run,
-)
 from .checkpoint import (
     SEMANTIC_COUNTERS,
     SNAPSHOT_MAGIC,
@@ -51,19 +40,13 @@ from .deadline import Deadline
 
 __all__ = [
     "AnytimeResult",
-    "ChaosReport",
     "CheckpointManager",
     "Deadline",
-    "FAULT_KINDS",
-    "Fault",
-    "FaultSchedule",
-    "InjectedCrash",
     "Rung",
     "SEMANTIC_COUNTERS",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "Status",
-    "chaos_run",
     "instance_fingerprint",
     "mapping_fingerprint",
     "options_fingerprint",

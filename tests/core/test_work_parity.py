@@ -14,13 +14,15 @@ before ``satisfies`` and the canonical chase, which that path skips.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from repro.core.certain import certain_answer
 from repro.core.inverse_chase import inverse_chase
+from repro.core.semantics import is_justified
 from repro.data.instances import COLUMNAR_MIN_FACTS
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.logic.parser import parse_instance, parse_query, parse_tgds
 from repro.logic.tgds import Mapping
 from repro.observability import METRICS
@@ -107,3 +109,32 @@ def test_max_recoveries_counts_distinct_recoveries(on_budget):
             inverse_chase(mapping, target, max_recoveries=218)
         cut = excinfo.value.partial
     assert cut == full[:218]
+
+
+@pytest.mark.parametrize("limit", ["budget", "deadline"])
+def test_error_progress_counts_recoveries(limit, monkeypatch):
+    """An interrupted run reports the recoveries in ``partial``, not the
+    candidates (duplicates included) emitted before them."""
+    mapping, target, _ = lemma1()
+    if limit == "budget":
+        with pytest.raises(BudgetExceededError) as excinfo:
+            inverse_chase(mapping, target, max_recoveries=218)
+        assert len(excinfo.value.partial) == 218
+    else:
+        # No deadline check of this fixture falls after the first
+        # recovery, so expiry is injected at the 100th justification.
+        calls = []
+
+        def expiring(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 100:
+                raise DeadlineExceededError("justification", "injected")
+            return is_justified(*args, **kwargs)
+
+        module = sys.modules["repro.core.inverse_chase"]
+        monkeypatch.setattr(module, "is_justified", expiring)
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            inverse_chase(mapping, target)
+        assert excinfo.value.partial
+    error = excinfo.value
+    assert error.progress["recoveries_emitted"] == len(error.partial)

@@ -27,7 +27,6 @@ class TestLineage:
         assert lineage.parent_epoch == parent.epoch
         assert lineage.added == frozenset([fact("E", "c", "d")])
         assert lineage.removed == frozenset([fact("G", "a")])
-        assert lineage.relations == frozenset(["E", "G"])
         assert child.epoch != parent.epoch
         assert child.facts == (parent.facts | {fact("E", "c", "d")}) - {
             fact("G", "a")

@@ -3,9 +3,8 @@
 ``delta_restricted_homomorphisms`` promises to yield *exactly* the
 homomorphisms a full search would yield whose image uses at least one
 delta fact; ``seeded_has_homomorphism`` promises to agree with
-``has_homomorphism`` under a base binding; ``carry_forward_plans``
-promises to re-key only relation-disjoint compiled plans.  Each is
-pinned here against the reference search on randomized instances.
+``has_homomorphism`` under a base binding.  Both are pinned here
+against the reference search on randomized instances.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ from repro.data.atoms import Atom
 from repro.data.terms import Constant, Variable
 from repro.logic.homomorphisms import has_homomorphism, homomorphisms
 from repro.planner.delta import (
-    carry_forward_plans,
     delta_restricted_homomorphisms,
     seeded_has_homomorphism,
 )
-from repro.planner.plan import _PLAN_CACHE
-from tests.conftest import storage_backend
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -135,37 +131,3 @@ class TestSeededExistence:
     def test_empty_pattern_is_trivially_satisfied(self):
         assert seeded_has_homomorphism([], parse_instance("E(a, b)"))
 
-
-class TestPlanCarryForward:
-    def test_relation_disjoint_plans_are_carried(self):
-        with storage_backend("object"):
-            parent = parse_instance("E(a, b), E(b, c), G(a)")
-            pattern = [Atom("E", [X, Y]), Atom("E", [Y, Z])]
-            list(homomorphisms(pattern, parent))
-            compiled = [
-                key for key, epoch in _PLAN_CACHE.keys() if epoch == parent.epoch
-            ]
-            assert compiled, "full search must compile an epoch-keyed plan"
-
-            # A delta touching only G leaves every E-plan valid.
-            child = parent.evolve(add=[fact("G", "z")])
-            assert carry_forward_plans(child) == len(compiled)
-            assert any(
-                epoch == child.epoch for _key, epoch in _PLAN_CACHE.keys()
-            )
-
-            # A delta touching E invalidates the E-plan's pools.
-            touched = parent.evolve(add=[fact("E", "c", "d")])
-            assert carry_forward_plans(touched) == 0
-
-    def test_instance_without_lineage_carries_nothing(self):
-        assert carry_forward_plans(parse_instance("E(a, b)")) == 0
-
-    def test_carry_forward_is_idempotent(self):
-        with storage_backend("object"):
-            parent = parse_instance("E(a, b), G(a)")
-            list(homomorphisms([Atom("E", [X, Y])], parent))
-            child = parent.evolve(add=[fact("G", "z")])
-            first = carry_forward_plans(child)
-            assert first >= 1
-            assert carry_forward_plans(child) == first

@@ -21,11 +21,9 @@ A :class:`FaultSchedule` expands a seed into a deterministic list of
 
 :func:`chaos_run` replays such a schedule against any checkpointable
 computation, restarting it lineage after lineage until one completes,
-and reports what happened.  The harness is deliberately generic — it
-receives the computation as a callable taking the
-:class:`~repro.resilience.checkpoint.CheckpointManager` — so this
-module never imports :mod:`repro.core` and the package layering
-(``core → resilience``) stays acyclic.
+and reports what happened.  The harness is generic: it receives the
+computation as a callable taking the
+:class:`~repro.resilience.checkpoint.CheckpointManager`.
 
 Crashes are injected at covering boundaries (the manager's ``due()``
 probe), which is exactly the granularity at which durability is
@@ -41,9 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from ..observability.metrics import METRICS
-from .checkpoint import CheckpointManager
-from .deadline import Deadline
+from repro.observability.metrics import METRICS
+from repro.resilience import CheckpointManager, Deadline
 
 #: The full fault vocabulary.
 FAULT_KINDS = ("crash", "corrupt_checkpoint", "clock_skew")
@@ -209,12 +206,6 @@ class ChaosReport:
     #: whose counters the parity property compares against an
     #: uninterrupted run.
     final_delta: dict = field(default_factory=dict)
-
-    @property
-    def completed_from_snapshot(self) -> bool:
-        return bool(
-            self.resume_outcomes
-        ) and self.resume_outcomes[-1] in ("resumed", "complete")
 
 
 def chaos_run(

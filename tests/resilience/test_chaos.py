@@ -14,16 +14,16 @@ import pytest
 from repro.core.inverse_chase import inverse_chase
 from repro.errors import DeadlineExceededError
 from repro.observability.metrics import METRICS
-from repro.resilience import (
-    CheckpointManager,
-    Deadline,
-    Fault,
-    FaultSchedule,
-    chaos_run,
-)
-from repro.resilience.chaos import ChaoticCheckpointManager, InjectedCrash
+from repro.resilience import CheckpointManager, Deadline
 from repro.workloads.generators import scaled_recovery_workload
 from tests.conftest import storage_backend
+from tests.resilience.chaos import (
+    ChaoticCheckpointManager,
+    Fault,
+    FaultSchedule,
+    InjectedCrash,
+    chaos_run,
+)
 
 SEMANTIC = (
     "coverings_evaluated",

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.hom_sets import hom_set
 from repro.core.inverse_chase import inverse_chase, inverse_chase_candidates
 from repro.errors import (
     BudgetExceededError,
@@ -12,6 +13,7 @@ from repro.errors import (
     DeadlineExceededError,
 )
 from repro.observability.metrics import METRICS
+from repro.planner.plan import _PLAN_CACHE
 from repro.resilience import (
     CheckpointManager,
     Deadline,
@@ -215,19 +217,20 @@ class TestCheckpointManager:
 # -- inverse-chase integration ---------------------------------------------
 
 
-class TestInverseChaseResume:
-    def interrupt(self, mapping, target, path, steps=20, **options):
-        mgr = CheckpointManager(path, every_ms=0.0001)
-        with pytest.raises(DeadlineExceededError):
-            inverse_chase(
-                mapping,
-                target,
-                checkpoint=mgr,
-                deadline=Deadline(max_steps=steps),
-                **options,
-            )
-        return mgr
+def interrupt(mapping, target, path, steps=20, **options):
+    mgr = CheckpointManager(path, every_ms=0.0001)
+    with pytest.raises(DeadlineExceededError):
+        inverse_chase(
+            mapping,
+            target,
+            checkpoint=mgr,
+            deadline=Deadline(max_steps=steps),
+            **options,
+        )
+    return mgr
 
+
+class TestInverseChaseResume:
     def test_complete_run_then_instant_resume(self, tmp_path, workload, reference):
         mapping, target = workload
         ref, ref_delta = reference
@@ -255,7 +258,7 @@ class TestInverseChaseResume:
         mapping, target = workload
         ref, ref_delta = reference
         path = tmp_path / "snap"
-        self.interrupt(mapping, target, path, steps=steps)
+        interrupt(mapping, target, path, steps=steps)
         base = METRICS.snapshot()
         mgr = CheckpointManager(path, resume=True)
         out = inverse_chase(mapping, target, checkpoint=mgr)
@@ -273,7 +276,7 @@ class TestInverseChaseResume:
         budget = len(ref) - 1
         path = tmp_path / "snap"
         # 800 steps emit about half the recoveries before the crash.
-        self.interrupt(mapping, target, path, steps=800, max_recoveries=budget)
+        interrupt(mapping, target, path, steps=800, max_recoveries=budget)
         mgr = CheckpointManager(path, resume=True)
         with pytest.raises(BudgetExceededError) as excinfo:
             inverse_chase(mapping, target, checkpoint=mgr, max_recoveries=budget)
@@ -303,7 +306,7 @@ class TestInverseChaseResume:
         mapping, target = workload
         ref, _ = reference
         path = tmp_path / "snap"
-        self.interrupt(mapping, target, path)
+        interrupt(mapping, target, path, steps=30)
         mgr = CheckpointManager(path, resume=True)
         out = inverse_chase(
             mapping, target, checkpoint=mgr, max_recoveries=10_000
@@ -315,7 +318,7 @@ class TestInverseChaseResume:
         mapping, target = workload
         ref, _ = reference
         path = tmp_path / "snap"
-        self.interrupt(mapping, target, path)
+        interrupt(mapping, target, path, steps=30)
         data = bytearray(path.read_bytes())
         data[len(data) // 3] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -345,7 +348,7 @@ class TestInverseChaseResume:
         ref, _ = reference
         path = tmp_path / "snap"
         with storage_backend("columnar"):
-            self.interrupt(mapping, target, path)
+            interrupt(mapping, target, path, steps=30)
             mgr = CheckpointManager(path, resume=True)
             out = inverse_chase(mapping, target, checkpoint=mgr)
         assert out == ref
@@ -365,29 +368,38 @@ class TestInverseChaseResume:
 
 
 class TestWarmStarts:
-    def test_hom_set_and_plans_travel(self, tmp_path, workload, reference):
+    def test_hom_set_travels(self, tmp_path, workload, reference):
         mapping, target = workload
         ref, _ = reference
         path = tmp_path / "snap"
-        mgr = CheckpointManager(path, every_ms=0.0001)
-        with pytest.raises(DeadlineExceededError):
-            inverse_chase(
-                mapping,
-                target,
-                checkpoint=mgr,
-                deadline=Deadline(max_steps=30),
-            )
+        interrupt(mapping, target, path, steps=30)
         _, payloads = read_snapshot(path)
-        hom_state = payloads["homs"]
-        assert hom_state["hom_set"], "snapshot should carry the hom-set"
-        assert "plan_keys" in hom_state
-        base = METRICS.snapshot()
-        out = inverse_chase(
-            mapping, target, checkpoint=CheckpointManager(path, resume=True)
-        )
+        assert payloads["homs"] == {"hom_set": tuple(hom_set(mapping, target))}
+        mgr = CheckpointManager(path, resume=True)
+        out = inverse_chase(mapping, target, checkpoint=mgr)
+        assert mgr.resume_outcome == "resumed"
         assert out == ref
-        delta = METRICS.delta_since(base)
-        if hom_state["plan_keys"].get("object") or hom_state["plan_keys"].get(
-            "vector"
-        ):
-            assert delta.get("plans_prewarmed", 0) >= 1
+
+    def test_legacy_plan_keys_field_is_ignored(self, tmp_path, workload, reference):
+        # Older snapshots also stored the canonical keys of the compiled
+        # plans in the ``homs`` record; resume must not depend on them.
+        mapping, target = workload
+        ref, _ = reference
+        path = tmp_path / "snap"
+        interrupt(mapping, target, path, steps=30)
+        header, payloads = read_snapshot(path)
+        plan_keys = [key for key, epoch in _PLAN_CACHE.keys() if epoch == target.epoch]
+        assert plan_keys
+        payloads["homs"]["plan_keys"] = {"object": plan_keys, "vector": []}
+        written = ("magic", "version", "kind", "complete", "saved_at_unix")
+        write_snapshot(
+            path,
+            kind=header["kind"],
+            scope={k: v for k, v in header.items() if k not in written},
+            payloads=payloads,
+            complete=header["complete"],
+        )
+        mgr = CheckpointManager(path, resume=True)
+        out = inverse_chase(mapping, target, checkpoint=mgr)
+        assert mgr.resume_outcome == "resumed"
+        assert out == ref

@@ -73,6 +73,18 @@ class TestExchange:
         assert "Shipment(laptop)" in output
 
 
+@pytest.fixture
+def lemma1(tmp_path):
+    """The Lemma-1 family with 3 S- and 4 T-facts: (mapping, target) paths."""
+    mapping_path = tmp_path / "lemma1.mapping"
+    mapping = Mapping(parse_tgds("R(x, y) -> S(x); R(u, v) -> T(v)"))
+    save_mapping(mapping, mapping_path)
+    target_path = tmp_path / "lemma1.instance"
+    facts = [f"S(a{i})" for i in range(3)] + [f"T(b{i})" for i in range(4)]
+    save_instance(parse_instance(", ".join(facts)), target_path)
+    return mapping_path, target_path
+
+
 class TestRecover:
     def test_recover_valid_target(self, workspace, capsys):
         _, mapping_path, _, target_path = workspace
@@ -82,15 +94,10 @@ class TestRecover:
         assert code == 0
         assert "recovery(ies):" in capsys.readouterr().out
 
-    def test_max_recoveries_counts_distinct_recoveries(self, tmp_path, capsys):
-        # The Lemma-1 family with 3 S- and 4 T-facts: 5 184 candidates
-        # yield 1 398 distinct recoveries, so a budget of 1 398 suffices.
-        mapping_path = tmp_path / "lemma1.mapping"
-        mapping = Mapping(parse_tgds("R(x, y) -> S(x); R(u, v) -> T(v)"))
-        save_mapping(mapping, mapping_path)
-        target_path = tmp_path / "lemma1.instance"
-        facts = [f"S(a{i})" for i in range(3)] + [f"T(b{i})" for i in range(4)]
-        save_instance(parse_instance(", ".join(facts)), target_path)
+    def test_max_recoveries_counts_distinct_recoveries(self, lemma1, capsys):
+        # 5 184 candidates yield 1 398 distinct recoveries, so a budget
+        # of 1 398 suffices.
+        mapping_path, target_path = lemma1
         code = main(
             [
                 "recover",
@@ -406,6 +413,28 @@ class TestObservability:
         assert doc["counters"]["coverings_evaluated"] >= 1
         (root,) = doc["trace"]
         assert root["name"] == "cli.recover"
+
+    def test_metrics_json_records_a_failed_run(self, lemma1, tmp_path, capsys):
+        import json
+
+        mapping_path, target_path = lemma1
+        out = tmp_path / "metrics.json"
+        code = main(
+            [
+                "recover",
+                "--mapping",
+                str(mapping_path),
+                "--target",
+                str(target_path),
+                "--max-recoveries",
+                "100",
+                "--metrics-json",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert "exceeded configured limit of 100" in capsys.readouterr().err
+        assert json.loads(out.read_text())["status"] == "error"
 
     def test_metrics_json_phases_sum_to_elapsed(self, workspace, tmp_path):
         import json
